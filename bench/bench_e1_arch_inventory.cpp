@@ -3,12 +3,16 @@
 //
 // Regenerates the architecture figure as numbers: per-CLB resource counts
 // exactly as the paper states them, then the whole device family with
-// routing-graph size, build time, and memory — the data a run-time router
-// has to stand up before it can touch a single PIP.
+// routing-graph size, per-stage bring-up time (ArchDb, Graph, PipTable,
+// lookahead), and memory — the data a run-time router has to stand up
+// before it can touch a single PIP. One run record per device.
+#include <sys/resource.h>
+
 #include <cstdio>
 
 #include "arch/patterns.h"
 #include "bench/bench_util.h"
+#include "lookahead/lookahead.h"
 
 using namespace xcvsim;
 
@@ -33,9 +37,9 @@ int main() {
   // Verify the driver rules hold at an interior tile by classification.
   ArchDb db(xcv300());
   int byKind[8][8] = {};
-  db.forEachTilePip({16, 24}, [&](LocalWire f, LocalWire t) {
+  for (const auto [f, t] : db.tilePips({16, 24})) {
     byKind[static_cast<int>(wireKind(f))][static_cast<int>(wireKind(t))]++;
-  });
+  }
   std::printf("\ninterior-tile PIP census (XCV300 R16C24):\n");
   const char* names[] = {"SliceOut", "Omux", "ClbIn", "Single",
                          "Hex",      "Long", "Gclk"};
@@ -48,18 +52,47 @@ int main() {
     }
   }
 
-  // The family sweep: graph size, build time, memory.
+  // The family sweep: graph size, then the bring-up a run-time router pays
+  // before its first route, stage by stage, and the process peak RSS after
+  // each device (the sweep runs smallest to largest, so it is that
+  // device's peak).
   std::printf("\ndevice family (paper section 5: 16x24 .. 64x96):\n");
-  std::printf("%-9s %5s %5s %12s %12s %10s %10s\n", "device", "rows",
-              "cols", "wires", "PIPs", "build(s)", "mem(MB)");
+  std::printf("%-9s %5s %5s %10s %10s %7s %8s %8s %8s %8s %8s %9s\n",
+              "device", "rows", "cols", "wires", "PIPs", "classes", "arch(s)",
+              "graph(s)", "pips(s)", "look(s)", "mem(MB)", "peak(MB)");
   for (const DeviceSpec& spec : deviceFamily()) {
     std::unique_ptr<Graph> g;
-    const double secs =
+    std::unique_ptr<PipTable> table;
+    const double archS = jrbench::secondsOf([&] { ArchDb standalone(spec); });
+    const double graphS =
         jrbench::secondsOf([&] { g = std::make_unique<Graph>(spec); });
-    std::printf("%-9s %5d %5d %12u %12u %10.2f %10.1f\n",
-                std::string(spec.name).c_str(), spec.rows, spec.cols,
-                g->numNodes(), g->numEdges(), secs,
-                static_cast<double>(g->memoryBytes()) / (1 << 20));
+    const double pipS = jrbench::secondsOf(
+        [&] { table = std::make_unique<PipTable>(g->arch()); });
+    const double lookS =
+        jrbench::secondsOf([&] { jrla::Lookahead::forGraph(*g); });
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const double peakMb = static_cast<double>(ru.ru_maxrss) / 1024.0;
+    const double graphMb = static_cast<double>(g->memoryBytes()) / (1 << 20);
+    const int classes = g->arch().numTileClasses();
+    std::printf(
+        "%-9s %5d %5d %10u %10u %7d %8.3f %8.3f %8.3f %8.3f %8.1f %9.1f\n",
+        std::string(spec.name).c_str(), spec.rows, spec.cols, g->numNodes(),
+        g->numEdges(), classes, archS, graphS, pipS, lookS, graphMb, peakMb);
+    jrbench::JsonWriter j;
+    j.kv("bench", std::string("e1_bringup"))
+        .kv("device", std::string(spec.name))
+        .kv("nodes", static_cast<uint64_t>(g->numNodes()))
+        .kv("edges", static_cast<uint64_t>(g->numEdges()))
+        .kv("tile_classes", static_cast<uint64_t>(classes))
+        .kv("pip_slots", static_cast<uint64_t>(table->numPipSlots()))
+        .kv("arch_s", archS)
+        .kv("graph_s", graphS)
+        .kv("pip_table_s", pipS)
+        .kv("lookahead_s", lookS)
+        .kv("graph_mb", graphMb)
+        .kv("peak_rss_mb", peakMb);
+    jrbench::appendRunRecord(j);
   }
   return 0;
 }

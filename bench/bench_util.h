@@ -34,10 +34,9 @@ inline double secondsOf(const std::function<void()>& fn) {
 /// A fully built simulated device: graph + PIP database + blank fabric.
 struct Device {
   explicit Device(const xcvsim::DeviceSpec& spec)
-      : graph(spec), arch(spec), table(arch), fabric(graph, table) {}
+      : graph(spec), table(graph.arch()), fabric(graph, table) {}
 
   xcvsim::Graph graph;
-  xcvsim::ArchDb arch;
   xcvsim::PipTable table;
   xcvsim::Fabric fabric;
 };

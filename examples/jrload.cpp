@@ -219,10 +219,11 @@ int main(int argc, char** argv) {
     }
     slo.enabled = true;
   }
-  if (args.threads == 0) {
-    args.threads =
-        std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
-  }
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  if (args.threads == 0) args.threads = std::min(4u, cores);
+  // The driver threads already occupy cores; planning threads beyond the
+  // rest only oversubscribe the host.
+  const unsigned planThreads = cores > args.threads ? cores - args.threads : 1;
 
   jrcheck::maybeArmFromEnv();
   jrprof::maybeArmFromEnv();
@@ -249,10 +250,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "jrload: %zu events (%llu requests) on %s, %d sessions x %d slots, "
-      "%u driver thread(s), batch %zu, linger %lluus, certify %s, slo %s\n",
+      "%u driver thread(s), %u plan thread(s), batch %zu, linger %lluus, "
+      "certify %s, slo %s\n",
       events.size(), static_cast<unsigned long long>(planned),
       args.device.c_str(), args.sessions, args.slots, args.threads,
-      args.batch, static_cast<unsigned long long>(args.lingerUs),
+      planThreads, args.batch, static_cast<unsigned long long>(args.lingerUs),
       args.certify ? "on" : "off",
       slo.enabled ? slo.describe().c_str() : "off");
 
@@ -270,6 +272,7 @@ int main(int argc, char** argv) {
   opts.batchSize = args.batch;
   opts.batchLingerUs = args.lingerUs;
   opts.certify = args.certify;
+  opts.planThreads = planThreads;
   jrsvc::RoutingService svc(dev->fabric, opts);
   std::vector<jrsvc::Session> sessions;
   sessions.reserve(static_cast<size_t>(args.sessions));
@@ -357,6 +360,7 @@ int main(int argc, char** argv) {
       .kv("sessions", static_cast<uint64_t>(args.sessions))
       .kv("slots", static_cast<uint64_t>(args.slots))
       .kv("threads", static_cast<uint64_t>(args.threads))
+      .kv("plan_threads", static_cast<uint64_t>(planThreads))
       .kv("seed", args.seed)
       .kv("batch", static_cast<uint64_t>(args.batch))
       .kv("linger_us", args.lingerUs)

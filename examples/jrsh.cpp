@@ -12,6 +12,8 @@
 // `help` lists every command; the dispatch table below is the single
 // source of truth for names, usage, and one-line summaries, and
 // scripts/check_jrsh_help.sh keeps README.md in sync with it.
+#include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -59,12 +61,33 @@ struct Session {
       client = {};
     }
     const DeviceSpec& dev = deviceByName(name);
+    // Bring-up, stage by stage: what a run-time user waits for before the
+    // first route.
+    using Clock = std::chrono::steady_clock;
+    const auto msSince = [](Clock::time_point t) {
+      return std::chrono::duration<double, std::milli>(Clock::now() - t)
+          .count();
+    };
+    Clock::time_point t = Clock::now();
     graph = std::make_unique<Graph>(dev);
-    table = std::make_unique<PipTable>(ArchDb{dev});
+    const double graphMs = msSince(t);
+    t = Clock::now();
+    table = std::make_unique<PipTable>(graph->arch());
+    const double tableMs = msSince(t);
+    t = Clock::now();
     fabric = std::make_unique<Fabric>(*graph, *table);
+    const double fabricMs = msSince(t);
+    t = Clock::now();
     router = std::make_unique<Router>(*fabric);
+    const double routerMs = msSince(t);
     std::cout << "device " << name << ": " << graph->numNodes()
               << " wires, " << graph->numEdges() << " PIPs\n";
+    char line[128];
+    std::snprintf(line, sizeof line,
+                  "bring-up: graph %.1f ms, pip table %.1f ms, fabric %.1f "
+                  "ms, router %.1f ms\n",
+                  graphMs, tableMs, fabricMs, routerMs);
+    std::cout << line;
   }
 
   bool ready() const { return router != nullptr; }

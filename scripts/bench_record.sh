@@ -40,6 +40,9 @@ JROUTE_PROF=1 \
 # arbitration under no-conflict certificates buys on the same workload.
 "$BUILD/bench/bench_service_throughput" "${BENCH_PRODUCERS:-4}" "${BENCH_REPS:-3}" \
   --requests "${BENCH_REQUESTS:-10000}" --certify
+# Per-device bring-up records (ArchDb, Graph, PipTable, lookahead build
+# seconds and peak RSS) over the whole family: EXPERIMENTS.md E1.
+"$BUILD/bench/bench_e1_arch_inventory"
 "$BUILD/bench/bench_e3_template_vs_maze"
 "$BUILD/bench/bench_e6_greedy_vs_pathfinder"
 "$BUILD/bench/bench_e18_lookahead"

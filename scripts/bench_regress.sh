@@ -41,9 +41,9 @@ path, threshold = sys.argv[1], float(sys.argv[2])
 # (timestamps, measured results) must not split groups.
 KEY_FIELDS = [
     "bench", "mode", "workload", "device", "producers", "requests",
-    "sessions", "slots", "threads", "seed", "batch", "linger_us",
-    "certify", "drc_paranoid", "lockcheck", "prof", "telemetry",
-    "slo_enabled",
+    "sessions", "slots", "threads", "plan_threads", "seed", "batch",
+    "linger_us", "certify", "drc_paranoid", "lockcheck", "prof",
+    "telemetry", "slo_enabled",
 ]
 
 groups = {}

@@ -1,8 +1,11 @@
 #include "arch/arch_db.h"
 
+#include <algorithm>
+#include <array>
+#include <limits>
+#include <map>
 #include <string>
 
-#include "arch/patterns.h"
 #include "common/error.h"
 
 namespace xcvsim {
@@ -30,6 +33,44 @@ int tapOffset(HexTap tap) {
 }
 
 }  // namespace
+
+ArchDb::ArchDb(const DeviceSpec& dev) : dev_(dev) {
+  // Class key: one existence bit per local wire, plus the row phase that
+  // the single -> vertical-long rule reads (rule I/J/K).
+  using Key = std::array<uint64_t, (kNumLocalWires + 63) / 64 + 1>;
+  std::map<Key, uint16_t> classOf;
+  tileClass_.reserve(static_cast<size_t>(dev_.tiles()));
+  classOff_.push_back(0);
+  for (int16_t r = 0; r < dev_.rows; ++r) {
+    for (int16_t c = 0; c < dev_.cols; ++c) {
+      const RowCol rc{r, c};
+      Key key{};
+      for (LocalWire w = 0; w < kNumLocalWires; ++w) {
+        if (existsAt(rc, w)) key[w / 64u] |= uint64_t{1} << (w % 64u);
+      }
+      key.back() = static_cast<uint64_t>(r % kLongAccessPeriod);
+      const auto [it, fresh] =
+          classOf.emplace(key, static_cast<uint16_t>(classOf.size()));
+      if (fresh) {
+        if (classOf.size() > std::numeric_limits<uint16_t>::max()) {
+          throw JRouteError("ArchDb: too many tile classes");
+        }
+        runRecipe(rc, classPips_);
+        classOff_.push_back(static_cast<uint32_t>(classPips_.size()));
+      }
+      tileClass_.push_back(it->second);
+    }
+  }
+}
+
+void ArchDb::requireTile(RowCol rc) const {
+  if (!dev_.contains(rc)) throw ArgumentError("ArchDb: tile out of range");
+}
+
+int ArchDb::tileClass(RowCol rc) const {
+  requireTile(rc);
+  return tileClass_[static_cast<size_t>(rc.row * dev_.cols + rc.col)];
+}
 
 WireInfo ArchDb::wireInfo(LocalWire w) const {
   WireInfo info{wireKind(w), wireIndex(w), wireLength(w)};
@@ -91,17 +132,13 @@ RowCol ArchDb::hexOrigin(RowCol rc, LocalWire w) const {
           static_cast<int16_t>(rc.col - off * dirDCol(d))};
 }
 
-void ArchDb::forEachTilePip(
-    RowCol rc, const std::function<void(LocalWire, LocalWire)>& cb) const {
-  if (!dev_.contains(rc)) {
-    throw ArgumentError("forEachTilePip: tile out of range");
-  }
+void ArchDb::runRecipe(RowCol rc, std::vector<TilePip>& out) const {
   const auto emit = [&](LocalWire from, LocalWire to) {
     // Degenerate self-loops (a hex "straight continuation" onto its own
     // track at the Beg tap names the same wire twice) can never carry
     // signal and are dropped here rather than at every pattern site.
     if (from == to) return;
-    if (existsAt(rc, from) && existsAt(rc, to)) cb(from, to);
+    if (existsAt(rc, from) && existsAt(rc, to)) out.push_back({from, to});
   };
 
   // Rule A/B: slice outputs drive the OMUX and their own CLB's inputs
@@ -211,45 +248,26 @@ void ArchDb::forEachTilePip(
   }
 }
 
-void ArchDb::forEachDirectConnect(
-    RowCol rc,
-    const std::function<void(LocalWire, RowCol, LocalWire)>& cb) const {
-  if (!dev_.contains(rc)) {
-    throw ArgumentError("forEachDirectConnect: tile out of range");
-  }
-  // "Local resources include direct connections between horizontally
-  // adjacent configurable logic blocks" — each slice output reaches two
-  // input pins of the east and west neighbours.
-  for (Dir d : {Dir::East, Dir::West}) {
-    const RowCol nb{rc.row, static_cast<int16_t>(rc.col + dirDCol(d))};
-    if (!dev_.contains(nb)) continue;
-    for (int o = 0; o < kSliceOutputs; ++o) {
-      for (int p : directPins(o)) cb(sliceOut(o), nb, clbIn(p));
-    }
-  }
-}
-
 bool ArchDb::canDrive(RowCol rc, LocalWire from, LocalWire to) const {
-  bool found = false;
-  forEachTilePip(rc, [&](LocalWire f, LocalWire t) {
-    if (f == from && t == to) found = true;
+  const auto pips = tilePips(rc);
+  return std::any_of(pips.begin(), pips.end(), [&](const TilePip& p) {
+    return p.from == from && p.to == to;
   });
-  return found;
 }
 
 std::vector<LocalWire> ArchDb::drives(RowCol rc, LocalWire w) const {
   std::vector<LocalWire> out;
-  forEachTilePip(rc, [&](LocalWire f, LocalWire t) {
-    if (f == w) out.push_back(t);
-  });
+  for (const TilePip& p : tilePips(rc)) {
+    if (p.from == w) out.push_back(p.to);
+  }
   return out;
 }
 
 std::vector<LocalWire> ArchDb::drivenBy(RowCol rc, LocalWire w) const {
   std::vector<LocalWire> out;
-  forEachTilePip(rc, [&](LocalWire f, LocalWire t) {
-    if (t == w) out.push_back(f);
-  });
+  for (const TilePip& p : tilePips(rc)) {
+    if (p.to == w) out.push_back(p.from);
+  }
   return out;
 }
 

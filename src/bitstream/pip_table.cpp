@@ -1,59 +1,67 @@
 #include "bitstream/pip_table.h"
 
-#include <algorithm>
+#include <limits>
 
 #include "common/error.h"
 
 namespace xcvsim {
 
-PipTable::PipTable(const ArchDb& arch) {
-  const DeviceSpec& dev = arch.device();
-  // Union the PIP patterns over every tile of the device. Patterns repeat
-  // with the long-line access period, so interior tiles contribute mostly
-  // duplicates, but taking the full union guarantees coverage for any
-  // device geometry (including the smallest family members, whose rows are
-  // shorter than three access periods).
-  std::unordered_map<PipKey, int, KeyHash> seen;
-  const auto add = [&](const PipKey& key) { seen.emplace(key, 0); };
-  for (int16_t r = 0; r < dev.rows; ++r) {
-    for (int16_t c = 0; c < dev.cols; ++c) {
-      const RowCol rc{r, c};
-      arch.forEachTilePip(rc, [&](LocalWire f, LocalWire t) {
-        add({PipKeyKind::TilePip, f, t});
-      });
-      arch.forEachDirectConnect(rc, [&](LocalWire f, RowCol dst,
-                                        LocalWire t) {
-        add({dst.col > rc.col ? PipKeyKind::DirectE : PipKeyKind::DirectW, f,
-             t});
-      });
+PipTable::PipTable(const ArchDb& arch)
+    : tileSlots_(size_t{kNumLocalWires} * kNumLocalWires, -1),
+      directSlots_(2 * size_t{kDirectSide} * kDirectSide, -1) {
+  // Mark every pattern that occurs anywhere on the device: the union of the
+  // tile-class PIP lists (every tile belongs to exactly one class), the
+  // direct connects, and the global pads. Direct connects depend only on a
+  // tile's column, so one row shows them all.
+  constexpr int16_t kSeen = 0;
+  for (int k = 0; k < arch.numTileClasses(); ++k) {
+    for (const TilePip& p : arch.classPips(k)) {
+      tileSlots_[p.from * size_t{kNumLocalWires} + p.to] = kSeen;
+    }
+  }
+  for (int16_t c = 0; c < arch.device().cols; ++c) {
+    arch.forEachDirectConnect(
+        RowCol{0, c}, [&](LocalWire f, RowCol dst, LocalWire t) {
+          const PipKeyKind kind =
+              dst.col > c ? PipKeyKind::DirectE : PipKeyKind::DirectW;
+          directSlots_[directIndex({kind, f, t})] = kSeen;
+        });
+  }
+  padSlots_.fill(kSeen);
+
+  // Number the marked keys in (kind, from, to) order, the order the
+  // tables are laid out in.
+  const auto assign = [&](int16_t& slot, const PipKey& key) {
+    if (slot != kSeen) return;
+    if (keys_.size() >
+        static_cast<size_t>(std::numeric_limits<int16_t>::max())) {
+      throw JRouteError("PipTable: too many PIP slots");
+    }
+    slot = static_cast<int16_t>(keys_.size());
+    keys_.push_back(key);
+  };
+  for (LocalWire f = 0; f < kNumLocalWires; ++f) {
+    for (LocalWire t = 0; t < kNumLocalWires; ++t) {
+      assign(tileSlots_[f * size_t{kNumLocalWires} + t],
+             {PipKeyKind::TilePip, f, t});
+    }
+  }
+  for (const PipKeyKind kind : {PipKeyKind::DirectE, PipKeyKind::DirectW}) {
+    for (LocalWire f = 0; f < kDirectSide; ++f) {
+      for (LocalWire t = 0; t < kDirectSide; ++t) {
+        const PipKey key{kind, f, t};
+        assign(directSlots_[directIndex(key)], key);
+      }
     }
   }
   for (int k = 0; k < kGlobalNets; ++k) {
-    add({PipKeyKind::GlobalPad, kInvalidLocalWire, static_cast<LocalWire>(k)});
-  }
-
-  std::vector<PipKey> all;
-  all.reserve(seen.size());
-  for (const auto& [key, unused] : seen) all.push_back(key);
-  std::sort(all.begin(), all.end(), [](const PipKey& a, const PipKey& b) {
-    if (a.kind != b.kind) return a.kind < b.kind;
-    if (a.from != b.from) return a.from < b.from;
-    return a.to < b.to;
-  });
-
-  keys_ = std::move(all);
-  slots_.reserve(keys_.size());
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    slots_.emplace(keys_[i], static_cast<int>(i));
+    assign(padSlots_[static_cast<size_t>(k)],
+           {PipKeyKind::GlobalPad, kInvalidLocalWire,
+            static_cast<LocalWire>(k)});
   }
 
   const int total = slotsPerTile();
   bitsPerTileRow_ = (total + kFramesPerColumn - 1) / kFramesPerColumn;
-}
-
-int PipTable::slotOf(const PipKey& key) const {
-  const auto it = slots_.find(key);
-  return it == slots_.end() ? -1 : it->second;
 }
 
 }  // namespace xcvsim

@@ -3,9 +3,9 @@
 // The real Virtex device database (shipped inside JBits) assigns every
 // programmable point a position in the configuration frames of its column.
 // That database is proprietary, so we build an equivalent one: enumerate
-// every connection pattern that can occur at any tile (PIP patterns repeat
-// with the long-line access period, so a kLongAccessPeriod-square block of
-// interior tiles covers all variants), sort them, and assign each a stable
+// every connection pattern that can occur at any tile (the union of the
+// ArchDb's tile-class PIP lists, plus the direct connects and the global
+// pads) and number them in (kind, from, to) order, so each has a stable
 // slot. A tile's configuration occupies kFramesPerColumn frames x
 // bitsPerTileRow() bits; slot s of tile (r,c) lives in column c, frame
 // s / bitsPerTileRow(), bit r * bitsPerTileRow() + s % bitsPerTileRow().
@@ -14,8 +14,8 @@
 // region after the PIPs so cores can be configured through the same frames.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/arch_db.h"
@@ -40,10 +40,6 @@ struct PipKey {
   LocalWire from = kInvalidLocalWire;
   LocalWire to = kInvalidLocalWire;
 
-  uint32_t packed() const {
-    return (static_cast<uint32_t>(kind) << 24) ^
-           (static_cast<uint32_t>(from) << 12) ^ to;
-  }
   friend bool operator==(const PipKey&, const PipKey&) = default;
 };
 
@@ -58,8 +54,23 @@ class PipTable {
   explicit PipTable(const ArchDb& arch);
 
   /// Slot of a configurable point within its tile's config block, or -1 if
-  /// the key names no existing pattern.
-  int slotOf(const PipKey& key) const;
+  /// the key names no existing pattern. One table load: this sits under
+  /// every Fabric::turnOn/turnOff.
+  int slotOf(const PipKey& key) const {
+    switch (key.kind) {
+      case PipKeyKind::TilePip:
+        if (key.from >= kNumLocalWires || key.to >= kNumLocalWires) return -1;
+        return tileSlots_[key.from * size_t{kNumLocalWires} + key.to];
+      case PipKeyKind::DirectE:
+      case PipKeyKind::DirectW:
+        if (key.from >= kDirectSide || key.to >= kDirectSide) return -1;
+        return directSlots_[directIndex(key)];
+      case PipKeyKind::GlobalPad:
+        if (key.from != kInvalidLocalWire || key.to >= kGlobalNets) return -1;
+        return padSlots_[key.to];
+    }
+    return -1;
+  }
 
   /// Key stored at a slot (inverse of slotOf); only valid for PIP slots.
   const PipKey& keyAt(int slot) const { return keys_[static_cast<size_t>(slot)]; }
@@ -88,12 +99,19 @@ class PipTable {
   int bitsPerTileRow() const { return bitsPerTileRow_; }
 
  private:
-  struct KeyHash {
-    size_t operator()(const PipKey& k) const { return k.packed(); }
-  };
+  // Direct connects join logic pins only: slice outputs to CLB inputs.
+  static constexpr LocalWire kDirectSide = kSingleBase;
+
+  static size_t directIndex(const PipKey& key) {
+    const size_t side = key.kind == PipKeyKind::DirectE ? 0 : 1;
+    return (side * kDirectSide + key.from) * kDirectSide + key.to;
+  }
 
   std::vector<PipKey> keys_;  // slot -> key, sorted for determinism
-  std::unordered_map<PipKey, int, KeyHash> slots_;
+  // Dense (from, to) -> slot tables, -1 where no pattern exists.
+  std::vector<int16_t> tileSlots_;    // kNumLocalWires^2
+  std::vector<int16_t> directSlots_;  // 2 x kDirectSide^2: east, then west
+  std::array<int16_t, kGlobalNets> padSlots_{};
   int bitsPerTileRow_ = 0;
 };
 

@@ -479,16 +479,19 @@ void Router::unroute(const EndPoint& source) {
   if (!fabric_->isUsed(node)) {
     throw ArgumentError("unroute: " + pinName(srcPin) + " is not routed");
   }
-  const NetId net = fabric_->netOf(node);
-  const auto hops = traceForward(*fabric_, node);
+  unrouteNet(node);
+}
+
+NetId Router::unrouteNet(NodeId source) {
+  const NetId net = fabric_->netOf(source);
+  const auto hops = traceForward(*fabric_, source);
   // Leaf-side first keeps the fabric consistent at every step.
   for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
     fabric_->turnOff(it->edge);
     ++stats_.pipsTurnedOff;
   }
-  if (fabric_->netSource(net) == node) {
-    fabric_->removeNet(net);
-  }
+  if (fabric_->netSource(net) == source) fabric_->removeNet(net);
+  return net;
 }
 
 void Router::reverseUnroute(const EndPoint& sink) {

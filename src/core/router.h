@@ -104,6 +104,12 @@ class Router {
   /// Forward unroute: free the entire net driven from `source`.
   void unroute(const EndPoint& source);
 
+  /// Forward unroute by node: free every PIP reachable from the routed
+  /// node `source`, leaf side first, and drop the net when `source` is its
+  /// source. Counts the PIPs in stats().pipsTurnedOff. Returns the net
+  /// `source` belonged to.
+  NetId unrouteNet(NodeId source);
+
   /// Reverse unroute: free only the branch feeding `sink`, stopping at the
   /// first segment that still drives other branches.
   void reverseUnroute(const EndPoint& sink);

@@ -19,8 +19,15 @@ NetId Fabric::createNet(NodeId source, std::string name) {
   if (nodeNet_[source] != kInvalidNet) {
     throw ContentionError("createNet: source segment already in use", source);
   }
-  const NetId id = static_cast<NetId>(nets_.size());
-  nets_.push_back({source, std::move(name), 1, true});
+  NetId id;
+  if (freeNets_.empty()) {
+    id = static_cast<NetId>(nets_.size());
+    nets_.push_back({source, std::move(name), 1, true});
+  } else {
+    id = freeNets_.back();
+    freeNets_.pop_back();
+    nets_[id] = {source, std::move(name), 1, true};
+  }
   nodeNet_[source] = id;
   ++usedNodes_;
   ++liveNets_;
@@ -38,6 +45,8 @@ void Fabric::removeNet(NetId net) {
   --usedNodes_;
   info.live = false;
   info.nodes = 0;
+  info.name = std::string();
+  freeNets_.push_back(net);
   --liveNets_;
 }
 
@@ -220,6 +229,7 @@ void Fabric::clear() {
   }
   onBits_.assign(onBits_.size(), 0);
   nets_.clear();
+  freeNets_.clear();
   usedNodes_ = 0;
   onEdges_ = 0;
   liveNets_ = 0;

@@ -38,7 +38,10 @@ class Fabric {
   // --- Net lifecycle --------------------------------------------------------
 
   /// Register a new net driven from `source` (a slice output pin or a
-  /// global clock pad). The source node is claimed for the net.
+  /// global clock pad). The source node is claimed for the net. The id of
+  /// a removed net is handed out again, so the net table stays as large as
+  /// the most nets ever live at once rather than growing with every net
+  /// created; an id names one net only while netExists() holds.
   NetId createNet(NodeId source, std::string name = {});
 
   /// Remove a fully unrouted net (only its source node may remain claimed).
@@ -79,9 +82,9 @@ class Fabric {
   size_t usedNodeCount() const { return usedNodes_; }
   size_t onEdgeCount() const { return onEdges_; }
   size_t liveNetCount() const { return liveNets_; }
-  /// Exclusive upper bound of net ids ever created. Ids below it may name
-  /// dead nets — filter with netExists(). Lets offline analysis iterate
-  /// the net database without a separate registry.
+  /// Exclusive upper bound of the net ids handed out. Ids below it may
+  /// name removed nets — filter with netExists(). Lets offline analysis
+  /// iterate the net database without a separate registry.
   size_t netCount() const { return nets_.size(); }
 
   /// Structural invariant check (tests): every claimed node is reachable
@@ -114,6 +117,7 @@ class Fabric {
   std::vector<uint16_t> onOut_;
   std::vector<uint64_t> onBits_;
   std::vector<NetInfo> nets_;
+  std::vector<NetId> freeNets_;  // ids of removed nets, reused last-in first
   size_t usedNodes_ = 0;
   size_t onEdges_ = 0;
   size_t liveNets_ = 0;

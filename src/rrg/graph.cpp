@@ -1,6 +1,7 @@
 #include "rrg/graph.h"
 
 #include <algorithm>
+#include <array>
 
 #include "arch/patterns.h"
 #include "common/error.h"
@@ -453,17 +454,21 @@ RowCol Graph::positionOf(NodeId n) const {
 void Graph::buildEdges() {
   outOff_.assign(numNodes_ + 1, 0);
 
-  // Pass 1: out-degree per node.
+  // Every PIP, tile by tile: the tile's class list (aliases resolved once
+  // per tile), then its direct connects; the global pad drivers last. Both
+  // passes walk this same order, so each node's out-edges keep it.
   const auto forAllPips = [&](auto&& cb) {
+    std::array<NodeId, kNumLocalWires> node{};
     for (int16_t r = 0; r < dev_.rows; ++r) {
       for (int16_t c = 0; c < dev_.cols; ++c) {
         const RowCol rc{r, c};
-        arch_.forEachTilePip(rc, [&](LocalWire f, LocalWire t) {
-          cb(nodeAt(rc, f), nodeAt(rc, t), rc, f, t);
-        });
+        for (LocalWire w = 0; w < kNumLocalWires; ++w) node[w] = nodeAt(rc, w);
+        for (const TilePip& p : arch_.tilePips(rc)) {
+          cb(node[p.from], node[p.to], rc, p.from, p.to);
+        }
         arch_.forEachDirectConnect(
             rc, [&](LocalWire f, RowCol dst, LocalWire t) {
-              cb(nodeAt(rc, f), nodeAt(dst, t), rc, f, t);
+              cb(node[f], nodeAt(dst, t), rc, f, t);
             });
       }
     }
@@ -472,6 +477,7 @@ void Graph::buildEdges() {
     }
   };
 
+  // Pass 1: out-degree per node.
   forAllPips([&](NodeId from, NodeId to, RowCol, LocalWire, LocalWire) {
     if (from == kInvalidNode || to == kInvalidNode) {
       throw JRouteError("PIP enumeration produced an unresolvable alias");

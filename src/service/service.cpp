@@ -7,7 +7,6 @@
 #include "analysis/congestion.h"
 #include "check/lockcheck.h"
 #include "common/error.h"
-#include "fabric/trace.h"
 #include "obs/flightrec.h"
 #include "obs/prof.h"
 #include "obs/provenance.h"
@@ -977,13 +976,7 @@ RouteResult RoutingService::executeUnroute(Request& req) {
 }
 
 void RoutingService::unrouteNode(NodeId source) {
-  const NetId net = fabric_->netOf(source);
-  const auto hops = traceForward(*fabric_, source);
-  // Leaf-side first keeps the fabric consistent at every step.
-  for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
-    fabric_->turnOff(it->edge);
-  }
-  if (fabric_->netSource(net) == source) fabric_->removeNet(net);
+  const NetId net = router_.unrouteNet(source);
   // The net is gone; its provenance record goes with it ("rolled-back or
   // unrouted nets have none").
   jrobs::provenance().forget(source);

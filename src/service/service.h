@@ -224,7 +224,8 @@ class RoutingService {
       bool includeBitstream,
       std::vector<std::pair<NodeId, uint64_t>>& ownersStorage) const
       JR_REQUIRES(fabricMu_);
-  /// Free the whole net driven from `source` (must be a net source node).
+  /// Free the whole net driven from `source` (must be a net source node)
+  /// through Router::unrouteNet, then drop its provenance record.
   void unrouteNode(NodeId source) JR_REQUIRES(fabricMu_);
   void registerNet(NodeId source, uint64_t sessionId);
   void finish(Request& req, RouteResult res);

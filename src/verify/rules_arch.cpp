@@ -46,7 +46,7 @@ std::vector<LocalWire> sampleWires(const ModelView& m, RowCol rc) {
 }
 
 /// arch-pip-symmetry — drives()/drivenBy() must be the exact forward and
-/// reverse adjacency of forEachTilePip(), and canDrive() must agree.
+/// reverse adjacency of tilePips(), and canDrive() must agree.
 class PipSymmetryRule final : public Rule {
  public:
   const char* id() const override { return "arch-pip-symmetry"; }
@@ -75,7 +75,7 @@ class PipSymmetryRule final : public Rule {
                      "drives() lists " + std::to_string(got.size()) +
                          " targets but the pip enumeration has " +
                          std::to_string(want.size()),
-                     "ArchDb::drives must mirror forEachTilePip exactly; "
+                     "ArchDb::drives must mirror tilePips exactly; "
                      "check the pattern rules in arch_db.cpp");
         }
         auto gotIn = m.drivenBy(rc, w);
@@ -87,7 +87,7 @@ class PipSymmetryRule final : public Rule {
                      "drivenBy() lists " + std::to_string(gotIn.size()) +
                          " drivers but the pip enumeration has " +
                          std::to_string(wantIn.size()),
-                     "ArchDb::drivenBy must mirror forEachTilePip exactly; "
+                     "ArchDb::drivenBy must mirror tilePips exactly; "
                      "check the pattern rules in arch_db.cpp");
         }
         for (const LocalWire to : want) {
@@ -96,7 +96,7 @@ class PipSymmetryRule final : public Rule {
             addFinding(*this, out, tileName(rc) + " " + wireName(w),
                        "canDrive denies the enumerated pip -> " + wireName(to),
                        "ArchDb::canDrive must accept every pip that "
-                       "forEachTilePip emits");
+                       "tilePips lists");
           }
         }
       }

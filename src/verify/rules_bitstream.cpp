@@ -45,8 +45,7 @@ std::string keyName(const PipKey& key) {
   return s;
 }
 
-/// Lossless identity for dedup maps. PipKey::packed() is a lossy XOR hash
-/// (fine for the table's unordered_map, wrong for uniqueness proofs).
+/// Lossless, ordered identity for dedup maps.
 using KeyId = std::tuple<int, LocalWire, LocalWire>;
 KeyId keyId(const PipKey& k) {
   return {static_cast<int>(k.kind), k.from, k.to};

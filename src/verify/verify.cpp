@@ -99,7 +99,7 @@ ModelView makeModelView(const Graph& graph, const PipTable& table,
   m.existsAt = [arch](RowCol rc, LocalWire w) { return arch->existsAt(rc, w); };
   m.tilePips = [arch](RowCol rc,
                       const std::function<void(LocalWire, LocalWire)>& cb) {
-    arch->forEachTilePip(rc, cb);
+    for (const xcvsim::TilePip& p : arch->tilePips(rc)) cb(p.from, p.to);
   };
   m.directs = [arch](RowCol rc,
                      const std::function<void(LocalWire, RowCol, LocalWire)>&

@@ -200,7 +200,7 @@ TEST_F(ArchDbTest, LongAccessPositions) {
 
 TEST_F(ArchDbTest, DriverRulesAreRespected) {
   const RowCol rc{8, 12};  // interior tile
-  db_.forEachTilePip(rc, [&](LocalWire f, LocalWire t) {
+  for (const auto [f, t] : db_.tilePips(rc)) {
     const WireKind fk = wireKind(f);
     const WireKind tk = wireKind(t);
     switch (fk) {
@@ -232,7 +232,7 @@ TEST_F(ArchDbTest, DriverRulesAreRespected) {
       default:
         FAIL() << "unexpected driver kind for " << wireName(f);
     }
-  });
+  }
 }
 
 TEST_F(ArchDbTest, ClockPinsOnlyDrivenByGlobals) {
@@ -247,16 +247,16 @@ TEST_F(ArchDbTest, ClockPinsOnlyDrivenByGlobals) {
 
 TEST_F(ArchDbTest, HexDrivenOnlyAtBegOrBidirEnd) {
   const RowCol rc{8, 12};
-  db_.forEachTilePip(rc, [&](LocalWire, LocalWire t) {
-    if (wireKind(t) != WireKind::Hex) return;
-    const HexTap tap = wireHexTap(t);
+  for (const TilePip& p : db_.tilePips(rc)) {
+    if (wireKind(p.to) != WireKind::Hex) continue;
+    const HexTap tap = wireHexTap(p.to);
     if (tap == HexTap::Mid) {
-      FAIL() << "hex driven at MID tap: " << wireName(t);
+      FAIL() << "hex driven at MID tap: " << wireName(p.to);
     }
     if (tap == HexTap::End) {
-      EXPECT_TRUE(hexIsBidir(wireIndex(t))) << wireName(t);
+      EXPECT_TRUE(hexIsBidir(wireIndex(p.to))) << wireName(p.to);
     }
-  });
+  }
 }
 
 TEST_F(ArchDbTest, CanDriveMatchesEnumeration) {

@@ -39,11 +39,11 @@ TEST_F(BitstreamTest, PipTableCoversEveryTilePattern) {
   const DeviceSpec& dev = arch().device();
   for (int16_t r = 0; r < dev.rows; r = static_cast<int16_t>(r + 5)) {
     for (int16_t c = 0; c < dev.cols; c = static_cast<int16_t>(c + 5)) {
-      arch().forEachTilePip({r, c}, [&](LocalWire f, LocalWire t) {
+      for (const auto [f, t] : arch().tilePips({r, c})) {
         EXPECT_GE(table().slotOf({PipKeyKind::TilePip, f, t}), 0)
             << wireName(f) << " -> " << wireName(t) << " at R" << r << "C"
             << c;
-      });
+      }
     }
   }
 }
@@ -59,6 +59,20 @@ TEST_F(BitstreamTest, SlotRoundTrip) {
     EXPECT_EQ(table().slotOf(table().keyAt(s)), s);
   }
   EXPECT_EQ(table().slotOf({PipKeyKind::TilePip, S0F1, S0_X}), -1);
+}
+
+TEST_F(BitstreamTest, SlotOfRejectsKeysOutsideTheTables) {
+  EXPECT_EQ(table().slotOf({PipKeyKind::TilePip, kInvalidLocalWire, S0F1}),
+            -1);
+  EXPECT_EQ(table().slotOf({PipKeyKind::TilePip, S0_X, kNumLocalWires}), -1);
+  EXPECT_EQ(table().slotOf({PipKeyKind::DirectE, single(Dir::East, 0), S0F1}),
+            -1);
+  EXPECT_EQ(table().slotOf({PipKeyKind::DirectW, S0_X, longH(0)}), -1);
+  EXPECT_EQ(table().slotOf({PipKeyKind::GlobalPad, kInvalidLocalWire,
+                            static_cast<LocalWire>(kGlobalNets)}),
+            -1);
+  EXPECT_EQ(table().slotOf({PipKeyKind::GlobalPad, S0_X, 0}), -1);
+  EXPECT_GE(table().slotOf({PipKeyKind::GlobalPad, kInvalidLocalWire, 0}), 0);
 }
 
 TEST_F(BitstreamTest, SetGetBitsAndDirtyFrames) {

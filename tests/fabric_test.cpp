@@ -54,6 +54,24 @@ TEST_F(FabricTest, NetLifecycle) {
   EXPECT_EQ(fabric_.liveNetCount(), 0u);
 }
 
+TEST_F(FabricTest, RemovedNetIdsAreReused) {
+  // A run-time session creates and removes nets without end; the net table
+  // must stay as large as the most nets live at once.
+  const NodeId a = graph().nodeAt({5, 7}, S1_YQ);
+  const NodeId b = graph().nodeAt({6, 9}, S0_XQ);
+  const NetId keep = fabric_.createNet(a, "keep");
+  for (int i = 0; i < 1000; ++i) {
+    const NetId n = fabric_.createNet(b, "n" + std::to_string(i));
+    EXPECT_NE(n, keep);
+    EXPECT_EQ(fabric_.netName(n), "n" + std::to_string(i));
+    fabric_.removeNet(n);
+  }
+  EXPECT_EQ(fabric_.netCount(), 2u);
+  EXPECT_EQ(fabric_.netName(keep), "keep");
+  EXPECT_EQ(fabric_.liveNetCount(), 1u);
+  fabric_.checkConsistency();
+}
+
 TEST_F(FabricTest, DoubleClaimOfSourceThrows) {
   const NodeId src = graph().nodeAt({5, 7}, S1_YQ);
   fabric_.createNet(src, "a");

@@ -2,8 +2,11 @@
 // segment identity, edge legality, and graph/description consistency.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string_view>
 
+#include "bitstream/pip_table.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "rrg/graph.h"
@@ -243,6 +246,89 @@ TEST(GraphBuild, RejectsTooSmallDevices) {
   DeviceSpec tiny{"tiny", 4, 4};
   EXPECT_THROW(Graph{tiny}, ArgumentError);
 }
+
+// Identity of the built device model. The constants were recorded from the
+// per-tile builder (every tile ran the full PIP recipe) before the
+// tile-class builder replaced it; any change to node numbering, edge order,
+// edge payload or slot assignment changes a hash.
+class Fnv1a {
+ public:
+  void add(uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h_ = (h_ ^ ((v >> (8 * i)) & 0xffu)) * 0x100000001b3ull;
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+uint64_t graphHash(const Graph& g) {
+  Fnv1a h;
+  h.add(g.numNodes(), 4);
+  h.add(g.numEdges(), 4);
+  for (NodeId n = 0; n < g.numNodes(); ++n) {
+    const auto out = g.out(n);
+    h.add(out.size(), 4);
+    for (const Edge& e : out) {
+      h.add(e.to, 4);
+      h.add(e.tileRow, 2);
+      h.add(e.tileCol, 2);
+      h.add(e.fromLocal, 2);
+      h.add(e.toLocal, 2);
+    }
+    const auto in = g.in(n);
+    h.add(in.size(), 4);
+    for (const EdgeId e : in) h.add(e, 4);
+  }
+  for (EdgeId e = 0; e < g.numEdges(); ++e) h.add(g.edgeSource(e), 4);
+  return h.value();
+}
+
+uint64_t slotHash(const PipTable& t) {
+  Fnv1a h;
+  h.add(static_cast<uint64_t>(t.numPipSlots()), 4);
+  for (int s = 0; s < t.numPipSlots(); ++s) {
+    const PipKey& k = t.keyAt(s);
+    h.add(static_cast<uint64_t>(k.kind), 1);
+    h.add(k.from, 2);
+    h.add(k.to, 2);
+  }
+  return h.value();
+}
+
+struct IdentityCase {
+  std::string_view device;
+  uint64_t graph;
+};
+
+// Every family member is large enough to show every PIP pattern, so all
+// nine share one slot table.
+constexpr uint64_t kFamilySlotHash = 0x5f3303927f797d2dull;
+
+class GraphIdentity : public ::testing::TestWithParam<IdentityCase> {};
+
+TEST_P(GraphIdentity, MatchesRecordedHashes) {
+  const IdentityCase& want = GetParam();
+  const Graph g{deviceByName(want.device)};
+  EXPECT_EQ(graphHash(g), want.graph) << std::hex << graphHash(g);
+  const PipTable table(g.arch());
+  EXPECT_EQ(slotHash(table), kFamilySlotHash) << std::hex << slotHash(table);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Family, GraphIdentity,
+    ::testing::Values(IdentityCase{"XCV50", 0x6613ee02ac537486ull},
+                      IdentityCase{"XCV100", 0x78925feda70b68e9ull},
+                      IdentityCase{"XCV150", 0x53967aef0e2b60f9ull},
+                      IdentityCase{"XCV200", 0x07adf7fe40b1d2c9ull},
+                      IdentityCase{"XCV300", 0x6fafdd0ebefe2190ull},
+                      IdentityCase{"XCV400", 0xa39beb6de30e1523ull},
+                      IdentityCase{"XCV600", 0x166ffb610cc8ef1bull},
+                      IdentityCase{"XCV800", 0x17a9446b9cdaaaf8ull},
+                      IdentityCase{"XCV1000", 0xc49b40801243fc20ull}),
+    [](const auto& tp) { return std::string(tp.param.device); });
 
 }  // namespace
 }  // namespace xcvsim

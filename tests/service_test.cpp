@@ -164,6 +164,39 @@ TEST_F(ServiceTest, CloseSessionUnroutesOwnedNets) {
   fabric_.checkConsistency();
 }
 
+TEST_F(ServiceTest, UnroutesCountTheirPipsInRouterStats) {
+  ServiceOptions opts;
+  opts.manualPump = true;
+  opts.planThreads = 1;
+  RoutingService svc(fabric_, opts);
+  Session s = svc.openSession();
+  auto p2p = s.routeAsync(EndPoint(Pin(3, 3, S1_YQ)),
+                          EndPoint(Pin(4, 5, clbIn(2))));
+  auto fan = s.fanoutAsync(EndPoint(Pin(8, 8, S0_YQ)),
+                           {EndPoint(Pin(9, 10, clbIn(1))),
+                            EndPoint(Pin(6, 9, clbIn(3)))});
+  auto kept = s.routeAsync(EndPoint(Pin(12, 4, S1_YQ)),
+                           EndPoint(Pin(12, 7, clbIn(2))));
+  svc.pumpOnce();
+  ASSERT_TRUE(p2p.get().ok());
+  ASSERT_TRUE(fan.get().ok());
+  ASSERT_TRUE(kept.get().ok());
+
+  // Two nets freed by unroute requests, the third by closing the session.
+  auto u1 = s.unrouteAsync(EndPoint(Pin(3, 3, S1_YQ)));
+  auto u2 = s.unrouteAsync(EndPoint(Pin(8, 8, S0_YQ)));
+  svc.pumpOnce();
+  ASSERT_TRUE(u1.get().ok());
+  ASSERT_TRUE(u2.get().ok());
+  svc.closeSession(s);
+  EXPECT_EQ(fabric_.onEdgeCount(), 0u);
+
+  jroute::RouteStats stats;
+  svc.withRouter([&](jroute::Router& router) { stats = router.stats(); });
+  EXPECT_GT(stats.pipsTurnedOn, 0u);
+  EXPECT_EQ(stats.pipsTurnedOff, stats.pipsTurnedOn);
+}
+
 // --- Backpressure and deadlines --------------------------------------------------
 
 TEST_F(ServiceTest, FullQueueShedsLoadWithOverloaded) {
