@@ -65,8 +65,6 @@ struct RunResult {
   std::vector<double> latenciesMs;
   uint64_t accepted = 0;
   uint64_t parallel = 0;
-  uint64_t certifiedPlanned = 0;
-  uint64_t certifiedFallbacks = 0;
 };
 
 /// Both modes route maze-only: with templates on, a short p2p route costs
@@ -119,12 +117,11 @@ RunResult runSerialized(Fabric& fabric, const std::vector<Req>& work,
 }
 
 RunResult runService(Fabric& fabric, const std::vector<Req>& work,
-                     uint64_t waves, unsigned producers, bool certify) {
+                     uint64_t waves, unsigned producers) {
   fabric.clear();
   jrsvc::ServiceOptions opts;
   opts.batchSize = 64;
   opts.router = mazeOnly();
-  opts.certify = certify;
   jrsvc::RoutingService svc(fabric, opts);
   std::vector<jrsvc::Session> sessions;
   for (unsigned p = 0; p < producers; ++p) {
@@ -192,14 +189,11 @@ RunResult runService(Fabric& fabric, const std::vector<Req>& work,
                            lane.latenciesMs.end());
   }
   svc.stop();
-  const jrsvc::ServiceStats stats = svc.stats();
-  res.certifiedPlanned = stats.certifiedPlanned;
-  res.certifiedFallbacks = stats.certifiedFallbacks;
   return res;
 }
 
 void report(const char* mode, const RunResult& r, size_t reqs,
-            unsigned producers, bool certify) {
+            unsigned producers) {
   const double reqPerSec = static_cast<double>(reqs) / r.seconds;
   std::printf("%-12s %8.3fs  %9.1f req/s  p50 %7.3fms  p99 %7.3fms"
               "  accepted %zu/%zu  parallel %llu\n",
@@ -220,12 +214,6 @@ void report(const char* mode, const RunResult& r, size_t reqs,
       .kv("p99_ms", jrbench::percentile(r.latenciesMs, 99))
       .kv("accepted", r.accepted)
       .kv("parallel_planned", r.parallel)
-      // E21's paired certify 0/1 records measure how much skipping claim
-      // arbitration under no-conflict certificates buys on an identical
-      // workload.
-      .kv("certify", static_cast<uint64_t>(certify ? 1 : 0))
-      .kv("certified_planned", r.certifiedPlanned)
-      .kv("certified_fallbacks", r.certifiedFallbacks)
       .kv("drc_paranoid", static_cast<uint64_t>(jrdrc::paranoidEnabled()))
       // Armed vs disarmed records measure the lock-order checker's
       // overhead on the same workload (budget: <3% disarmed).
@@ -262,13 +250,10 @@ int main(int argc, char** argv) {
   unsigned producers = std::min(4u, hw);
   int reps = 3;
   uint64_t requests = 10000;
-  bool certify = false;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
       requests = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--certify") == 0) {
-      certify = true;
     } else if (positional == 0) {
       producers = static_cast<unsigned>(std::atoi(argv[i]));
       ++positional;
@@ -278,7 +263,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: bench_service_throughput [producers] [reps] "
-                   "[--requests N] [--certify]\n");
+                   "[--requests N]\n");
       return 2;
     }
   }
@@ -295,11 +280,10 @@ int main(int argc, char** argv) {
   const uint64_t totalReqs = waves * perWave;
   std::printf("service throughput: %llu round-trip requests (%llu waves x "
               "%zu disjoint p2p pairs) on %s, %u producer(s), %u core(s), "
-              "certify %s, DRC paranoid %s, lockcheck %s, prof %s\n\n",
+              "DRC paranoid %s, lockcheck %s, prof %s\n\n",
               static_cast<unsigned long long>(totalReqs),
               static_cast<unsigned long long>(waves), work.size(),
               std::string(xcv300().name).c_str(), producers, hw,
-              certify ? "on" : "off",
               jrdrc::paranoidEnabled() ? "on" : "off",
               jrcheck::activeChecker().armed() ? "armed" : "off",
               jrprof::armed() ? "armed" : "off");
@@ -308,14 +292,12 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < reps; ++rep) {
     RunResult s = runSerialized(dev.fabric, work, waves);
     if (rep == 0 || s.seconds < bestSerial.seconds) bestSerial = std::move(s);
-    RunResult v = runService(dev.fabric, work, waves, producers, certify);
+    RunResult v = runService(dev.fabric, work, waves, producers);
     if (rep == 0 || v.seconds < bestSvc.seconds) bestSvc = std::move(v);
   }
 
-  report("serialized", bestSerial, static_cast<size_t>(totalReqs), 1,
-         /*certify=*/false);
-  report("service", bestSvc, static_cast<size_t>(totalReqs), producers,
-         certify);
+  report("serialized", bestSerial, static_cast<size_t>(totalReqs), 1);
+  report("service", bestSvc, static_cast<size_t>(totalReqs), producers);
   std::printf("\nspeedup: %.2fx\n", bestSerial.seconds / bestSvc.seconds);
   return 0;
 }

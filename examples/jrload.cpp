@@ -9,7 +9,7 @@
 //
 //   ./jrload [--device XCV1000] [--sessions 100] [--slots 6]
 //            [--requests 100000] [--seed 1] [--threads N]
-//            [--batch 64] [--linger-us 0]
+//            [--batch 64]
 //            [--slo "latency_us=5000,target=0.999,burn=8"]
 //            [--prof-json FILE]
 //
@@ -62,8 +62,6 @@ struct Args {
   uint64_t seed = 1;
   unsigned threads = 0;  // 0 = min(4, hardware)
   size_t batch = 64;
-  uint64_t lingerUs = 0;
-  bool certify = false;  // certified no-conflict waves (jrplan)
   std::string sloSpec;   // empty = monitor disabled
   std::string profJson;  // empty = no profiler JSON dump
 };
@@ -72,10 +70,8 @@ void usage(FILE* to) {
   std::fprintf(to,
                "usage: jrload [--device NAME] [--sessions N] [--slots N]\n"
                "              [--requests N] [--seed N] [--threads N]\n"
-               "              [--batch N] [--linger-us N] [--certify]\n"
-               "              [--slo SPEC] [--prof-json FILE]\n"
+               "              [--batch N] [--slo SPEC] [--prof-json FILE]\n"
                "  SPEC: latency_us=5000,target=0.999,burn=8\n"
-               "  --certify plans batches as jrplan certified waves\n"
                "  --prof-json arms jrprof and writes its report as JSON\n");
 }
 
@@ -107,10 +103,6 @@ bool parseArgs(int argc, char** argv, Args* out) {
       out->threads = static_cast<unsigned>(std::atoi(v));
     } else if (a == "--batch" && (v = value())) {
       out->batch = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--linger-us" && (v = value())) {
-      out->lingerUs = std::strtoull(v, nullptr, 10);
-    } else if (a == "--certify") {
-      out->certify = true;
     } else if (a == "--slo" && (v = value())) {
       out->sloSpec = v;
     } else if (a == "--prof-json" && (v = value())) {
@@ -118,8 +110,8 @@ bool parseArgs(int argc, char** argv, Args* out) {
     } else if (v == nullptr && (a == "--device" || a == "--sessions" ||
                                 a == "--slots" || a == "--requests" ||
                                 a == "--seed" || a == "--threads" ||
-                                a == "--batch" || a == "--linger-us" ||
-                                a == "--slo" || a == "--prof-json")) {
+                                a == "--batch" || a == "--slo" ||
+                                a == "--prof-json")) {
       return false;  // missing value, already reported
     } else {
       std::fprintf(stderr, "jrload: unknown argument %s\n", a.c_str());
@@ -250,13 +242,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "jrload: %zu events (%llu requests) on %s, %d sessions x %d slots, "
-      "%u driver thread(s), %u plan thread(s), batch %zu, linger %lluus, "
-      "certify %s, slo %s\n",
+      "%u driver thread(s), %u plan thread(s), batch %zu, slo %s\n",
       events.size(), static_cast<unsigned long long>(planned),
       args.device.c_str(), args.sessions, args.slots, args.threads,
-      planThreads, args.batch, static_cast<unsigned long long>(args.lingerUs),
-      args.certify ? "on" : "off",
-      slo.enabled ? slo.describe().c_str() : "off");
+      planThreads, args.batch, slo.enabled ? slo.describe().c_str() : "off");
 
   // Fresh measurement baseline: counters, span sums, SLO windows, and
   // profiler accumulators (setup-time contention must not pollute the
@@ -270,8 +259,6 @@ int main(int argc, char** argv) {
   jrsvc::ServiceOptions opts;
   opts.queueCapacity = 8192;
   opts.batchSize = args.batch;
-  opts.batchLingerUs = args.lingerUs;
-  opts.certify = args.certify;
   opts.planThreads = planThreads;
   jrsvc::RoutingService svc(dev->fabric, opts);
   std::vector<jrsvc::Session> sessions;
@@ -315,18 +302,6 @@ int main(int argc, char** argv) {
     std::printf("engine latency: p50 %.0fus  p95 %.0fus  p99 %.0fus\n",
                 lat->p50, lat->p95, lat->p99);
   }
-  if (args.certify) {
-    std::printf(
-        "certified: %llu planned in %llu wave(s), %llu fallback(s), "
-        "%llu claim retr%s on certified plans, %llu paranoid "
-        "disagreement(s)\n",
-        static_cast<unsigned long long>(sstats.certifiedPlanned),
-        static_cast<unsigned long long>(sstats.certifiedWaves),
-        static_cast<unsigned long long>(sstats.certifiedFallbacks),
-        static_cast<unsigned long long>(sstats.claimRetries),
-        sstats.claimRetries == 1 ? "y" : "ies",
-        static_cast<unsigned long long>(sstats.paranoidDisagreements));
-  }
   std::printf("\n%s\n", spans.text().c_str());
   if (slo.enabled) std::printf("%s\n", sloRep.text().c_str());
 
@@ -363,13 +338,7 @@ int main(int argc, char** argv) {
       .kv("plan_threads", static_cast<uint64_t>(planThreads))
       .kv("seed", args.seed)
       .kv("batch", static_cast<uint64_t>(args.batch))
-      .kv("linger_us", args.lingerUs)
-      .kv("certify", static_cast<uint64_t>(args.certify ? 1 : 0))
-      .kv("certified_planned", sstats.certifiedPlanned)
-      .kv("certified_waves", sstats.certifiedWaves)
-      .kv("certified_fallbacks", sstats.certifiedFallbacks)
       .kv("claim_retries", sstats.claimRetries)
-      .kv("paranoid_disagreements", sstats.paranoidDisagreements)
       .kv("events", static_cast<uint64_t>(events.size()))
       .kv("requests", total.submitted)
       .kv("seconds", seconds)
@@ -399,8 +368,7 @@ int main(int argc, char** argv) {
       j.kv(key, w.burn);
     }
   }
-  // Span-segment shares: the adaptive-linger evidence (batch_linger
-  // share grows, plan share's batch amortization shifts) rides in the
+  // Span-segment shares: where each request's time went rides in the
   // record itself.
   for (const jrobs::SpanAttribution::Segment& seg : spans.segments) {
     char key[48];

@@ -35,11 +35,6 @@ JROUTE_LOCKCHECK=1 \
 JROUTE_PROF=1 \
   "$BUILD/bench/bench_service_throughput" "${BENCH_PRODUCERS:-4}" "${BENCH_REPS:-3}" \
   --requests "${BENCH_REQUESTS:-10000}"
-# And with jrplan certified planning: the paired records (kv "certify"
-# 0 vs 1) are the EXPERIMENTS.md E21 evidence for what skipping claim
-# arbitration under no-conflict certificates buys on the same workload.
-"$BUILD/bench/bench_service_throughput" "${BENCH_PRODUCERS:-4}" "${BENCH_REPS:-3}" \
-  --requests "${BENCH_REQUESTS:-10000}" --certify
 # Per-device bring-up records (ArchDb, Graph, PipTable, lookahead build
 # seconds and peak RSS) over the whole family: EXPERIMENTS.md E1.
 "$BUILD/bench/bench_e1_arch_inventory"
@@ -47,22 +42,11 @@ JROUTE_PROF=1 \
 "$BUILD/bench/bench_e6_greedy_vs_pathfinder"
 "$BUILD/bench/bench_e18_lookahead"
 
-# jrload mixed-workload records, paired with adaptive batch linger off
-# and on: the span_batch_linger_share / hist_p99_us fields across the
-# two records are the measured evidence for the latency-vs-batching
-# trade (EXPERIMENTS.md E19).
+# jrload mixed-workload record: throughput, span shares and the
+# SLO-tagged p50/p99 of the session mix (EXPERIMENTS.md E19).
 if [[ -x "$BUILD/examples/jrload" ]]; then
   "$BUILD/examples/jrload" --device "${JRLOAD_DEVICE:-XCV300}" \
     --sessions 50 --requests "${JRLOAD_REQUESTS:-20000}" \
-    --slo "latency_us=5000,target=0.999,burn=8"
-  "$BUILD/examples/jrload" --device "${JRLOAD_DEVICE:-XCV300}" \
-    --sessions 50 --requests "${JRLOAD_REQUESTS:-20000}" --linger-us 300 \
-    --slo "latency_us=5000,target=0.999,burn=8"
-  # Certified-planning pair for the first record (kv "certify" 0 vs 1,
-  # EXPERIMENTS.md E21): same mixed workload, batches planned as jrplan
-  # no-conflict waves with arbitration skipped.
-  "$BUILD/examples/jrload" --device "${JRLOAD_DEVICE:-XCV300}" \
-    --sessions 50 --requests "${JRLOAD_REQUESTS:-20000}" --certify \
     --slo "latency_us=5000,target=0.999,burn=8"
 else
   echo "bench_record: $BUILD/examples/jrload not built; skipping jrload records"

@@ -9,6 +9,12 @@
 # disarmed one, nor a 10^4-request workload against the old 42-request
 # one (which lacks the "workload" field entirely).
 #
+# Device bring-up records (bench e1_bringup) group by device and warn
+# when graph_s, pip_table_s, lookahead_s or peak_rss_mb rises beyond the
+# same threshold. Records of retired engine configurations (certified
+# planning, certify 1; batch linger, linger_us > 0) are skipped; records
+# without those keys compare as the default configuration.
+#
 #   scripts/bench_regress.sh [jsonl-file]
 #
 # Warn-level by design: benchmarks on shared CI hosts are noisy, so the
@@ -42,9 +48,15 @@ path, threshold = sys.argv[1], float(sys.argv[2])
 KEY_FIELDS = [
     "bench", "mode", "workload", "device", "producers", "requests",
     "sessions", "slots", "threads", "plan_threads", "seed", "batch",
-    "linger_us", "certify", "drc_paranoid", "lockcheck", "prof",
-    "telemetry", "slo_enabled",
+    "drc_paranoid", "lockcheck", "prof", "telemetry", "slo_enabled",
 ]
+# Bring-up seconds and peak RSS: lower is better, compared per device.
+BRINGUP_FIELDS = ["graph_s", "pip_table_s", "lookahead_s", "peak_rss_mb"]
+
+def retired(rec):
+    """Certified planning and batch linger are gone from the engine; their
+    old records have no successor to compare against."""
+    return rec.get("certify", 0) == 1 or rec.get("linger_us", 0) > 0
 
 groups = {}
 skipped = 0
@@ -58,10 +70,13 @@ with open(path) as f:
         except json.JSONDecodeError:
             skipped += 1
             continue
-        if "bench" not in rec or "req_per_sec" not in rec:
+        if rec.get("bench") == "e1_bringup":
+            key = (("bench", "e1_bringup"), ("device", rec.get("device")))
+        elif "bench" in rec and "req_per_sec" in rec and not retired(rec):
+            key = tuple((k, rec.get(k)) for k in KEY_FIELDS)
+        else:
             skipped += 1
             continue
-        key = tuple((k, rec.get(k)) for k in KEY_FIELDS)
         groups.setdefault(key, []).append(rec)
 
 def p99_of(rec):
@@ -72,6 +87,18 @@ def p99_of(rec):
 
 warnings = 0
 compared = 0
+
+def warn_rise(field, base, new, n, label):
+    """Warn when a lower-is-better figure rose beyond the threshold."""
+    global warnings
+    if base <= 0:
+        return
+    rise = 100.0 * (new - base) / base
+    if rise > threshold:
+        warnings += 1
+        print(f"WARN: {field} +{rise:.1f}% "
+              f"({base:.3f} -> {new:.3f}, median of {n} prior) [{label}]")
+
 # Sort by stringified key: tuples mixing None and values don't compare.
 for key, recs in sorted(groups.items(), key=lambda kv: str(kv[0])):
     if len(recs) < 2:
@@ -79,6 +106,14 @@ for key, recs in sorted(groups.items(), key=lambda kv: str(kv[0])):
     newest, prior = recs[-1], recs[-4:-1]
     compared += 1
     label = " ".join(f"{k}={v}" for k, v in key if v is not None)
+
+    if newest["bench"] == "e1_bringup":
+        for field in BRINGUP_FIELDS:
+            base = [float(r[field]) for r in prior if field in r]
+            if field in newest and base:
+                warn_rise(field, median(base), float(newest[field]),
+                          len(base), label)
+        continue
 
     base_rps = median(float(r["req_per_sec"]) for r in prior)
     new_rps = float(newest["req_per_sec"])
@@ -94,14 +129,8 @@ for key, recs in sorted(groups.items(), key=lambda kv: str(kv[0])):
     if field is not None:
         prior_p99 = [p99_of(r)[1] for r in prior if p99_of(r)[0] == field]
         if prior_p99:
-            base_p99 = median(prior_p99)
-            if base_p99 > 0:
-                rise = 100.0 * (new_p99 - base_p99) / base_p99
-                if rise > threshold:
-                    warnings += 1
-                    print(f"WARN: {field} +{rise:.1f}% "
-                          f"({base_p99:.3f} -> {new_p99:.3f}, "
-                          f"median of {len(prior_p99)} prior) [{label}]")
+            warn_rise(field, median(prior_p99), new_p99, len(prior_p99),
+                      label)
 
 note = f", {skipped} record(s) skipped" if skipped else ""
 if warnings:

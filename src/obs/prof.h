@@ -178,7 +178,7 @@ inline constexpr uint64_t kLowEfficiencyMinRequests = 8;
 /// kIdle doubles as "no beacon" for threads that never set one.
 enum class Stage : uint8_t {
   kIdle = 0,
-  kQueue,      // draining / lingering on the MPSC queue
+  kQueue,      // draining the MPSC queue
   kPlan,       // parallel plan phase (engine and workers)
   kArbitrate,  // batch classification & claim arbitration
   kCommit,     // serialized tail: commit loop, serial path, batch DRC

@@ -30,9 +30,7 @@ std::string NetProvenance::text() const {
   out += "  request   #" + u64(requestId) + " session " + u64(sessionId) +
          " op " + op + "\n";
   out += "  algorithm " + algorithm +
-         (certified ? " (certified plan)"
-                    : (parallel ? " (parallel plan)" : " (serialized)")) +
-         ", selector " +
+         (parallel ? " (parallel plan)" : " (serialized)") + ", selector " +
          selector + "\n";
   out += "  effort    " + u64(searchVisits) + " nodes visited, " +
          u64(claimRetries) + " claim retries\n";
@@ -54,7 +52,6 @@ std::string NetProvenance::json() const {
   out += jsonKv("algorithm", algorithm) + ",";
   out += jsonKv("selector", selector) + ",";
   out += std::string("\"parallel\":") + (parallel ? "true" : "false") + ",";
-  out += std::string("\"certified\":") + (certified ? "true" : "false") + ",";
   out += "\"pips\":" + u64(pips) + ",";
   out += "\"sinks\":" + u64(sinks) + ",";
   out += "\"search_visits\":" + u64(searchVisits) + ",";

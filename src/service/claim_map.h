@@ -27,15 +27,11 @@ using xcvsim::NodeId;
 /// Owner ids are request ids + 1; 0 means unclaimed.
 class ClaimMap {
  public:
-  explicit ClaimMap(size_t numNodes) : owner_(numNodes) {}
-
   /// Region-sharded layout: slots are permuted so nodes of the same
   /// region-grid cell (the cell jrplan footprints key on) are
   /// contiguous, and each shard is padded to a cache line. Concurrent
-  /// planners work bbox-disjoint regions, so their CASes stop false
-  /// sharing each other's lines. A pure slot permutation — claim
-  /// semantics are identical to the flat layout (the regression test in
-  /// plan_test.cpp holds both to the same admitted plans).
+  /// planners work bbox-disjoint regions, so their CASes do not false
+  /// share each other's lines.
   ClaimMap(const xcvsim::Graph& g, const jrplan::RegionGrid& grid) {
     constexpr size_t kShardPad = 16;  // uint32 slots per 64-byte line
     const size_t cells = static_cast<size_t>(grid.numCells());
@@ -87,13 +83,11 @@ class ClaimMap {
     for (const NodeId n : nodes) release(n, owner);
   }
 
-  bool sharded() const { return !slots_.empty(); }
-
  private:
-  size_t slot(NodeId n) const { return slots_.empty() ? n : slots_[n]; }
+  size_t slot(NodeId n) const { return slots_[n]; }
 
   std::vector<std::atomic<uint32_t>> owner_;
-  std::vector<uint32_t> slots_;  ///< node → slot permutation; empty = flat
+  std::vector<uint32_t> slots_;  ///< node → slot
 };
 
 /// RouterOptions::claimFilter view: every claimed node is an obstacle,

@@ -57,11 +57,6 @@ void claimConflictAt(const xcvsim::Graph& g, NodeId n) {
 
 }  // namespace
 
-bool Planner::CertFilter::blocked(NodeId n) const {
-  return planner->mine_.count(n) != 0 ||
-         !planner->certFp_->allowsNode(planner->fabric_->graph(), n);
-}
-
 Planner::Planner(const xcvsim::Fabric& fabric, ClaimMap& claims,
                  jroute::RouterOptions opts)
     : fabric_(&fabric),
@@ -69,36 +64,12 @@ Planner::Planner(const xcvsim::Fabric& fabric, ClaimMap& claims,
       view_(claims),
       opts_(opts),
       maze_(fabric.graph()) {
-  indirect_.target = &view_;
-  certFilter_.planner = this;
-  opts_.claimFilter = &indirect_;
+  opts_.claimFilter = &view_;
   // Same per-device table as the serial router: immutable, shared across
   // every planner thread.
   if (opts_.useLookahead && opts_.lookahead == nullptr) {
     opts_.lookahead = &jrla::Lookahead::forGraph(fabric.graph());
   }
-}
-
-Plan Planner::planCertified(uint32_t owner, const Request& req,
-                            const jrplan::Footprint& footprint) {
-  certified_ = true;
-  certFp_ = &footprint;
-  mine_.clear();
-  indirect_.target = &certFilter_;
-  Plan p = plan(owner, req);
-  indirect_.target = &view_;
-  certified_ = false;
-  certFp_ = nullptr;
-  mine_.clear();
-  return p;
-}
-
-bool Planner::claimNode(NodeId n, uint32_t owner) {
-  if (certified_) {
-    mine_.insert(n);
-    return true;
-  }
-  return claims_->claim(n, owner);
 }
 
 Plan Planner::plan(uint32_t owner, const Request& req) {
@@ -192,7 +163,7 @@ bool Planner::planNet(uint32_t owner, Plan& plan, const EndPoint& source,
       return fail(Reject::kBadArgument,
                   "wire " + g.nodeName(srcNode) + " cannot drive a net", true);
     }
-    if (!claimNode(srcNode, owner)) {
+    if (!claims_->claim(srcNode, owner)) {
       // Another in-flight request wants the same source; let the
       // serialized path decide who wins.
       claimConflictAt(g, srcNode);
@@ -254,25 +225,12 @@ bool Planner::planSink(uint32_t owner, Plan& plan, PlannedNet& net,
                 "sink " + g.nodeName(sinkNode) + " is in use by another net",
                 true);
   }
-  if (!certified_) {
-    // No concurrent claimants exist inside a certified wave, and the
-    // sink's containment is the filter's job, so this is
-    // arbitration-only.
-    const uint32_t sinkOwner = claims_->ownerOf(sinkNode);
-    if (sinkOwner != 0 && sinkOwner != owner) {
-      claimConflictAt(g, sinkNode);
-      plan.contendedNode = sinkNode;
-      return fail(Reject::kContention,
-                  "sink " + g.nodeName(sinkNode) + " claimed concurrently",
-                  false);
-    }
-  } else if (!certFp_->allowsNode(g, sinkNode)) {
-    // The extractor under-covered this sink (it flags such footprints
-    // unsound, so this is belt-and-braces): fail non-authoritatively and
-    // let arbitration handle the request.
+  const uint32_t sinkOwner = claims_->ownerOf(sinkNode);
+  if (sinkOwner != 0 && sinkOwner != owner) {
+    claimConflictAt(g, sinkNode);
     plan.contendedNode = sinkNode;
     return fail(Reject::kContention,
-                "sink " + g.nodeName(sinkNode) + " outside plan footprint",
+                "sink " + g.nodeName(sinkNode) + " claimed concurrently",
                 false);
   }
 
@@ -375,17 +333,6 @@ bool Planner::claimChain(uint32_t owner, Plan& plan,
   const xcvsim::Graph& g = fabric_->graph();
   std::vector<NodeId> acquired;
   acquired.reserve(chain.size());
-  if (certified_) {
-    // Arbitration skipped: the footprint filter already confined the
-    // search, so just record the nodes (for the paranoid cross-check and
-    // second-driver prevention).
-    for (const EdgeId e : chain) {
-      const NodeId v = g.edge(e).to;
-      if (mine_.insert(v).second) acquired.push_back(v);
-    }
-    plan.claimed.insert(plan.claimed.end(), acquired.begin(), acquired.end());
-    return true;
-  }
   for (const EdgeId e : chain) {
     const NodeId v = g.edge(e).to;
     if (claims_->ownerOf(v) == owner) continue;  // already ours (tree node)

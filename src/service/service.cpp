@@ -54,6 +54,11 @@ const char* rejectName(Reject r) {
 
 namespace {
 
+/// Margin (tiles) added around each request's bounding box when deciding
+/// tile-disjointness for the parallel phase. Claims make correctness
+/// independent of this value; it only tunes how often plans collide.
+constexpr int kDisjointMargin = 1;
+
 RouteResult accepted(NodeId netSource, bool parallel) {
   RouteResult r;
   r.outcome = Outcome::kAccepted;
@@ -93,16 +98,6 @@ struct EngineMetrics {
       jrobs::registry().counter("service.plan_fallbacks");
   jrobs::Counter& claimRetries =
       jrobs::registry().counter("service.plan.claim_retries");
-  jrobs::Counter& certifiedRequests =
-      jrobs::registry().counter("service.plan.certified.requests");
-  jrobs::Counter& certifiedWaves =
-      jrobs::registry().counter("service.plan.certified.waves");
-  jrobs::Counter& certifiedFallbacks =
-      jrobs::registry().counter("service.plan.certified.fallbacks");
-  jrobs::Counter& paranoidChecks =
-      jrobs::registry().counter("service.plan.certified.paranoid_checks");
-  jrobs::Counter& paranoidDisagreements = jrobs::registry().counter(
-      "service.plan.certified.paranoid_disagreements");
   jrobs::Gauge& queueDepth =
       jrobs::registry().gauge("service.queue.depth");
   jrobs::Histogram& batchSize =
@@ -111,12 +106,6 @@ struct EngineMetrics {
       jrobs::registry().histogram("service.request.latency_us");
   jrobs::Histogram& batchDrcUs =
       jrobs::registry().histogram("service.batch.drc_us");
-  /// Adaptive batch close: age of the oldest request when its batch
-  /// closed, and how many late arrivals lingering picked up.
-  jrobs::Histogram& batchLingerUs =
-      jrobs::registry().histogram("service.batch.linger_us");
-  jrobs::Counter& lingerAdded =
-      jrobs::registry().counter("service.batch.linger_added");
 };
 
 EngineMetrics& metrics() {
@@ -162,13 +151,8 @@ RoutingService::RoutingService(xcvsim::Fabric& fabric, ServiceOptions opts)
     : fabric_(&fabric),
       opts_(opts),
       router_(fabric, opts.router),
-      claims_(opts.shardClaimMap
-                  ? ClaimMap(fabric.graph(),
-                             jrplan::RegionGrid(fabric.graph().device()))
-                  : ClaimMap(fabric.graph().numNodes())),
+      claims_(fabric.graph(), jrplan::RegionGrid(fabric.graph().device())),
       queue_(opts.queueCapacity) {
-  extractor_ = std::make_unique<jrplan::FootprintExtractor>(
-      fabric.graph(), fabric, opts_.router);
   // Lock-order checking opts in via JROUTE_LOCKCHECK, contention
   // profiling via JROUTE_PROF — both before the engine or any worker
   // takes its first instrumented lock.
@@ -307,25 +291,6 @@ void RoutingService::engineLoop() {
       for (Request& req : batch) {
         req.span.stamp(jrobs::SpanStage::kBatchClose);
       }
-      if (opts_.batchLingerUs > 0 && batch.size() < opts_.batchSize) {
-        // Adaptive close: hold the batch open for late arrivals until the
-        // oldest request has aged batchLingerUs since enqueue. The bound
-        // is on the *request's* age, not the linger itself, so a request
-        // that already waited in the queue gets proportionally less.
-        const size_t before = batch.size();
-        queue_.drainUntil(
-            batch, opts_.batchSize,
-            batch.front().enqueued +
-                std::chrono::microseconds(opts_.batchLingerUs));
-        for (size_t i = before; i < batch.size(); ++i) {
-          batch[i].span.stamp(jrobs::SpanStage::kBatchClose);
-        }
-        metrics().lingerAdded.add(batch.size() - before);
-      }
-      metrics().batchLingerUs.record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              Clock::now() - batch.front().enqueued)
-              .count()));
     }
     jrsync::MutexLock lk(fabricMu_);
     processBatch(batch);
@@ -483,7 +448,6 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
 
   std::vector<PlanJob> jobs;
   std::vector<Request*> serial;
-  std::vector<Box> boxes;  // parallel to jobs in certify mode
   std::vector<Box> taken;
   jobs.reserve(reqs.size());
   {
@@ -503,19 +467,7 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
         finish(req, std::move(*rej));
         continue;
       }
-      box.expand(opts_.disjointMargin);
-      // Certify mode: every route request joins the batch jobs — the
-      // certificate's interference coloring (cell-exact, finer than
-      // boxes) decides concurrency, with the bbox partition kept only
-      // for the unsound-footprint leftovers.
-      if (opts_.certify) {
-        PlanJob job;
-        job.req = &req;
-        job.owner = static_cast<uint32_t>(req.id % 0xFFFFFFFFu) + 1;
-        jobs.push_back(std::move(job));
-        boxes.push_back(box);
-        continue;
-      }
+      box.expand(kDisjointMargin);
       const bool overlaps =
           std::any_of(taken.begin(), taken.end(),
                       [&](const Box& b) { return b.intersects(box); });
@@ -531,51 +483,7 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
     }
   }
 
-  if (opts_.certify && !jobs.empty()) {
-    // Certified phase: extract per-request claim footprints, greedy-color
-    // the batch into conflict-free waves, and run each wave with claim
-    // arbitration skipped. Unsound footprints fall through to the
-    // ordinary bbox-partitioned arbitration phase below.
-    JR_TRACE_SCOPE("service", "plan.certify");
-    std::vector<jrplan::Footprint> fps;
-    fps.reserve(jobs.size());
-    {
-      jrprof::StageScope stage(jrprof::Stage::kArbitrate);
-      for (const PlanJob& job : jobs) fps.push_back(footprintOf(*job.req));
-    }
-    const jrplan::NoConflictCertificate cert =
-        jrplan::planBatch(extractor_->grid(), std::move(fps));
-    for (const jrplan::Wave& wave : cert.waves) {
-      std::vector<PlanJob> waveJobs;
-      waveJobs.reserve(wave.members.size());
-      for (const size_t m : wave.members) {
-        jobs[m].footprint = &cert.footprints[m];
-        waveJobs.push_back(std::move(jobs[m]));
-      }
-      stats_.certifiedWaves.fetch_add(1);
-      metrics().certifiedWaves.add();
-      planAndCommit(waveJobs, serial, /*certified=*/true);
-    }
-    // Bbox-partition the uncertified leftovers among themselves; they
-    // plan with arbitration against the post-wave fabric.
-    std::vector<PlanJob> rest;
-    rest.reserve(cert.uncertified.size());
-    taken.clear();
-    for (const size_t m : cert.uncertified) {
-      const bool overlaps =
-          std::any_of(taken.begin(), taken.end(),
-                      [&](const Box& b) { return b.intersects(boxes[m]); });
-      if (overlaps) {
-        serial.push_back(jobs[m].req);
-      } else {
-        taken.push_back(boxes[m]);
-        rest.push_back(std::move(jobs[m]));
-      }
-    }
-    jobs = std::move(rest);
-  }
-
-  planAndCommit(jobs, serial, /*certified=*/false);
+  planAndCommit(jobs, serial);
 
   // Serialized phase: conflicting, fallen-back, and unroute requests, in
   // arrival order, against the post-commit fabric.
@@ -634,8 +542,7 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
 }
 
 void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
-                                   std::vector<Request*>& serial,
-                                   bool certified) {
+                                   std::vector<Request*>& serial) {
   if (jobs.empty()) return;
   {
     // Parallel phase: fabric frozen, workers + engine plan concurrently.
@@ -663,34 +570,6 @@ void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
     }
   }
 
-  if (certified && opts_.planParanoid) {
-    // Paranoid cross-check: certified plans skipped CAS arbitration, so
-    // re-run it now over every node each plan would claim, plus the
-    // footprint-containment invariant ("routed wires ⊆ footprint"). Any
-    // failure means the certificate lied; that must never happen, so it
-    // escapes the engine thread and terminates the process (mirroring
-    // JROUTE_DRC_PARANOID). Successful claims are released by the commit
-    // loop's releaseAll below.
-    for (PlanJob& job : jobs) {
-      if (!job.plan.found) continue;
-      metrics().paranoidChecks.add();
-      for (const NodeId n : job.plan.claimed) {
-        const bool contained =
-            job.footprint->allowsNode(fabric_->graph(), n);
-        if (!contained || !claims_.claim(n, job.owner)) {
-          stats_.paranoidDisagreements.fetch_add(1);
-          metrics().paranoidDisagreements.add();
-          throw JRouteError(
-              std::string("certified plan disagreement: node ") +
-              fabric_->graph().nodeName(n) +
-              (contained ? " lost arbitration within a certified wave"
-                         : " escaped its plan footprint") +
-              " (request " + std::to_string(job.req->id) + ")");
-        }
-      }
-    }
-  }
-
   // Commit phase: apply plans serially, in submission order.
   JR_TRACE_SCOPE("service", "commit");
   jrprof::StageScope commitStage(jrprof::Stage::kCommit);
@@ -714,48 +593,9 @@ void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
     } else {
       stats_.planFallbacks.fetch_add(1);
       metrics().planFallbacks.add();
-      if (certified) {
-        stats_.certifiedFallbacks.fetch_add(1);
-        metrics().certifiedFallbacks.add();
-      }
       serial.push_back(job.req);
     }
   }
-}
-
-jrplan::Footprint RoutingService::footprintOf(const Request& req) {
-  // Mirror the planner's request → nets decomposition: p2p/fanout build
-  // one net from the source's first pin to every resolved sink pin; a
-  // bus is the union of its per-bit nets. Conservative in sink choice —
-  // the planner may pick any resolved pin, so all of them enter.
-  jrplan::Footprint fp(extractor_->grid());
-  const size_t numNets = req.op == Op::kRouteBus ? req.sources.size() : 1;
-  bool first = true;
-  for (size_t i = 0; i < numNets; ++i) {
-    jrplan::RouteSpec spec;
-    spec.op = jrplan::SpecOp::kFanout;
-    const auto srcPins = req.sources[i].resolve();
-    if (srcPins.empty()) {
-      fp.markUnsound();
-      return fp;
-    }
-    spec.srcs.push_back(srcPins.front());
-    if (req.op == Op::kRouteBus) {
-      for (const Pin& p : req.sinks[i].resolve()) spec.sinks.push_back(p);
-    } else {
-      for (const EndPoint& ep : req.sinks) {
-        for (const Pin& p : ep.resolve()) spec.sinks.push_back(p);
-      }
-    }
-    jrplan::Footprint one = extractor_->extract(spec);
-    if (first) {
-      fp = std::move(one);
-      first = false;
-    } else {
-      fp.unite(one);  // unite ANDs soundness: one unsound bit poisons all
-    }
-  }
-  return fp;
 }
 
 void RoutingService::workerLoop() {
@@ -793,10 +633,7 @@ void RoutingService::runJobs(PlanPhase& phase, Planner& planner) {
     // observes workersDone (release/acquire), so the cross-thread
     // stamps are ordered like the plan itself.
     job.req->span.stamp(jrobs::SpanStage::kPlanStart);
-    job.plan = job.footprint != nullptr
-                   ? planner.planCertified(job.owner, *job.req,
-                                           *job.footprint)
-                   : planner.plan(job.owner, *job.req);
+    job.plan = planner.plan(job.owner, *job.req);
     job.req->span.stamp(jrobs::SpanStage::kPlanEnd);
   }
 }
@@ -805,7 +642,6 @@ void RoutingService::runJobs(PlanPhase& phase, Planner& planner) {
 
 bool RoutingService::commitPlan(Request& req, PlanJob& job,
                                 RouteResult& out) {
-  const bool certified = job.footprint != nullptr;
   RouteTxn txn(router_);
   NodeId firstSrc = kInvalidNode;
   try {
@@ -828,8 +664,8 @@ bool RoutingService::commitPlan(Request& req, PlanJob& job,
     txn.commit();
     req.span.stamp(jrobs::SpanStage::kCommit);
     for (const NodeId src : newlyOwned) registerNet(src, req.sessionId);
-    recordProvenance(req, /*parallel=*/true, certified, netSources,
-                     pipsPerNet, job.plan.templateHits,
+    recordProvenance(req, /*parallel=*/true, netSources, pipsPerNet,
+                     job.plan.templateHits,
                      job.plan.shapeReuseHits, job.plan.mazeRuns,
                      job.plan.visits, job.plan.retries,
                      jrobs::classifySelector(job.plan.selTemplate,
@@ -837,10 +673,6 @@ bool RoutingService::commitPlan(Request& req, PlanJob& job,
                                              job.plan.selMaze));
     stats_.parallelPlanned.fetch_add(1);
     metrics().parallelPlanned.add();
-    if (certified) {
-      stats_.certifiedPlanned.fetch_add(1);
-      metrics().certifiedRequests.add();
-    }
     out = accepted(firstSrc, /*parallel=*/true);
     return true;
   } catch (const JRouteError& e) {
@@ -907,8 +739,7 @@ RouteResult RoutingService::executeSerial(Request& req) {
     req.span.stamp(jrobs::SpanStage::kCommit);
     for (const NodeId src : newlyOwned) registerNet(src, req.sessionId);
     const jroute::RouteStats after = router_.stats();
-    recordProvenance(req, /*parallel=*/false, /*certified=*/false,
-                     srcNodes, pipsPerNet,
+    recordProvenance(req, /*parallel=*/false, srcNodes, pipsPerNet,
                      after.templateHits - before.templateHits,
                      after.shapeReuseHits - before.shapeReuseHits,
                      after.mazeRuns - before.mazeRuns,
@@ -984,7 +815,7 @@ void RoutingService::unrouteNode(NodeId source) {
 }
 
 void RoutingService::recordProvenance(
-    const Request& req, bool parallel, bool certified,
+    const Request& req, bool parallel,
     const std::vector<NodeId>& netSources,
     const std::vector<size_t>& pipsPerNet, uint64_t templateHits,
     uint64_t shapeReuseHits, uint64_t mazeRuns, uint64_t visits,
@@ -1014,7 +845,6 @@ void RoutingService::recordProvenance(
     rec.algorithm = algo;
     rec.selector = selector;
     rec.parallel = parallel;
-    rec.certified = certified;
     rec.pips = i < pipsPerNet.size() ? pipsPerNet[i] : 0;
     rec.sinks = sinksPerNet;
     rec.searchVisits = visits;
@@ -1167,10 +997,6 @@ ServiceStats RoutingService::stats() const {
   s.serialRouted = stats_.serialRouted.load();
   s.planFallbacks = stats_.planFallbacks.load();
   s.claimRetries = stats_.claimRetries.load();
-  s.certifiedPlanned = stats_.certifiedPlanned.load();
-  s.certifiedWaves = stats_.certifiedWaves.load();
-  s.certifiedFallbacks = stats_.certifiedFallbacks.load();
-  s.paranoidDisagreements = stats_.paranoidDisagreements.load();
   return s;
 }
 

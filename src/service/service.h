@@ -11,9 +11,12 @@
 // plans are committed serially under transactional journaling. Requests
 // that genuinely conflict (overlapping regions, unroutes, lost claim
 // races, plan/commit failures) run on the serialized path, which is
-// authoritative. Backpressure is structural: a full queue rejects with
-// kOverloaded, and per-request deadlines shed stale work before it costs
-// routing effort.
+// authoritative. These two phases are the engine's only planning path;
+// jrplan's claim footprints are offline analysis, and only its region
+// grid reaches the engine, as the claim map's shard layout. A batch
+// closes as soon as its first drain returns. Backpressure is
+// structural: a full queue rejects with kOverloaded, and per-request
+// deadlines shed stale work before it costs routing effort.
 #pragma once
 
 #include <atomic>
@@ -31,7 +34,6 @@
 #include "core/router.h"
 #include "obs/heatmap.h"
 #include "obs/metrics.h"
-#include "plan/certificate.h"
 #include "service/claim_map.h"
 #include "service/planner.h"
 #include "service/queue.h"
@@ -48,23 +50,11 @@ struct ServiceOptions {
   /// Planning threads including the engine itself; 0 = use
   /// std::thread::hardware_concurrency().
   unsigned planThreads = 0;
-  /// Margin (tiles) added around each request's bounding box when deciding
-  /// tile-disjointness for the parallel phase. Claims make correctness
-  /// independent of this value; it only tunes how often plans collide.
-  int disjointMargin = 1;
   /// Manual mode: no engine thread; the owner drives pumpOnce(). Used by
   /// deterministic tests (backpressure, deadlines).
   bool manualPump = false;
   /// How long an idle engine waits for the first request of a batch.
   std::chrono::milliseconds drainWait{100};
-  /// Adaptive batch close: after the first drain of a batch, keep the
-  /// batch open for late arrivals until the *oldest* request's span age
-  /// (now - enqueue) reaches this bound or the batch fills. 0 closes
-  /// immediately (the pre-linger behavior). Lingering trades a bounded
-  /// per-request latency increase for fuller batches and a better
-  /// parallel-planning ratio; service.batch.linger_us records what each
-  /// batch actually paid.
-  uint64_t batchLingerUs = 0;
   /// Run the full static DRC (src/analysis) after every processed batch —
   /// the quiescent point where all txns have committed or rolled back and
   /// every planning claim must be released — and throw JRouteError on any
@@ -74,23 +64,8 @@ struct ServiceOptions {
   /// Costly (O(fabric) per batch); a violation escaping the engine thread
   /// terminates the process, which is the point of paranoid mode.
   bool drcParanoid = jrdrc::paranoidEnabled();
-  /// Certified planning (jrplan): statically extract a claim footprint
-  /// per route request, greedy-color the batch into conflict-free waves,
-  /// and plan each wave with CAS arbitration skipped — the footprint
-  /// filter confines every search instead. Requests whose footprint is
-  /// unsound (and any certified plan that fails) fall back to the
-  /// ordinary arbitration/serialized machinery.
-  bool certify = false;
-  /// Re-run claim arbitration over every certified plan before commit
-  /// and throw JRouteError on any disagreement (a disagreement means the
-  /// certificate lied — that must never happen). Defaults to the
-  /// JROUTE_PLAN_PARANOID environment variable.
-  bool planParanoid = jrplan::paranoidEnabled();
-  /// Shard the claim map by region-grid cell (jrplan's grid): nodes of a
-  /// cell share cache lines, so bbox-disjoint planners stop false
-  /// sharing each other's CASes. Pure layout change — admitted plans are
-  /// identical to the flat map.
-  bool shardClaimMap = true;
+  /// Inert; kept only because perfbench/src/workloads.cpp assigns it.
+  bool planParanoid = false;
   /// Options for the underlying router and the parallel planners.
   jroute::RouterOptions router{};
 };
@@ -175,9 +150,6 @@ class RoutingService {
     Request* req = nullptr;
     uint32_t owner = 0;
     Plan plan;
-    /// Non-null when the job belongs to a certified wave: the planner
-    /// skips CAS arbitration and confines the search to this footprint.
-    const jrplan::Footprint* footprint = nullptr;
   };
   /// Shared state of one parallel planning phase.
   struct PlanPhase {
@@ -208,15 +180,9 @@ class RoutingService {
   RouteResult executeUnroute(Request& req) JR_REQUIRES(fabricMu_);
   /// Run `jobs` through the worker pool and commit the found plans.
   /// Failures (plan not found, commit rollback) are appended to `serial`
-  /// for the serialized path unless authoritative. `certified` jobs skip
-  /// arbitration (and run the paranoid cross-check when enabled).
+  /// for the serialized path unless authoritative.
   void planAndCommit(std::vector<PlanJob>& jobs,
-                     std::vector<Request*>& serial, bool certified)
-      JR_REQUIRES(fabricMu_);
-  /// Conservative claim footprint of a route request, mirroring how the
-  /// planner decomposes it into nets. Unsound footprint when anything
-  /// cannot be resolved statically.
-  jrplan::Footprint footprintOf(const Request& req) JR_REQUIRES(fabricMu_);
+                     std::vector<Request*>& serial) JR_REQUIRES(fabricMu_);
   /// DrcInput over the full service state; caller must hold fabricMu_ (or
   /// otherwise exclude the engine). The ownership snapshot is written into
   /// `ownersStorage`, which must outlive the returned input.
@@ -232,7 +198,7 @@ class RoutingService {
   /// Record provenance for every net the request just committed.
   /// `netSources` are the nets' source nodes; counters describe the whole
   /// request (shared by its nets). Call after txn commit, under fabricMu_.
-  void recordProvenance(const Request& req, bool parallel, bool certified,
+  void recordProvenance(const Request& req, bool parallel,
                         const std::vector<NodeId>& netSources,
                         const std::vector<size_t>& pipsPerNet,
                         uint64_t templateHits, uint64_t shapeReuseHits,
@@ -248,9 +214,6 @@ class RoutingService {
   jroute::Router router_;
   ClaimMap claims_;
   BoundedQueue<Request> queue_;
-  /// Static claim-footprint analyzer (certified planning and the sharded
-  /// claim map's region grid). Engine-thread only, under fabricMu_.
-  std::unique_ptr<jrplan::FootprintExtractor> extractor_;
 
   // Lock hierarchy (outermost first; DESIGN.md §15, enforced at run time
   // by jrcheck when armed):
@@ -285,8 +248,7 @@ class RoutingService {
     std::atomic<uint64_t> submitted{0}, accepted{0}, rejected{0},
         overloaded{0}, deadlineExpired{0}, contention{0}, unroutable{0},
         batches{0}, parallelPlanned{0}, serialRouted{0}, planFallbacks{0},
-        claimRetries{0}, certifiedPlanned{0}, certifiedWaves{0},
-        certifiedFallbacks{0}, paranoidDisagreements{0};
+        claimRetries{0};
   };
   mutable AtomicStats stats_;
 };

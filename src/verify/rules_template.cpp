@@ -189,9 +189,8 @@ class ReplayRule final : public Rule {
 /// template-footprint-consistent — every wire a template replay actually
 /// steps through lies inside jrplan's extracted claim footprint for that
 /// src→sink pin pair. An extractor that under-covers its own templates
-/// would make certified planning reject every template route (a silent
-/// throughput cliff), so the analyzer's coverage is verified against the
-/// replays themselves.
+/// would claim a conservative bound it does not keep, so the analyzer's
+/// coverage is verified against the replays themselves.
 class FootprintRule final : public Rule {
  public:
   const char* id() const override { return "template-footprint-consistent"; }

@@ -1,26 +1,24 @@
 // Tests for jrplan: the claim-footprint over-approximation property on
-// two device sizes, no-conflict certificates (wave disjointness,
-// determinism), the certified service path (arbitration skipped, paranoid
-// cross-check, equivalence with the arbitrated engine), the sharded
-// claim map (pure permutation of the flat layout), and the workload
-// linter with a mutation harness proving every rule and extractor hook
-// live.
+// two device sizes, the service's region-sharded claim map (injective
+// layout, CAS ownership semantics, agreement with a flat reference and
+// with the plain Router end to end), and the workload linter with a
+// mutation harness proving every rule and extractor hook live.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <exception>
+#include <future>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "arch/wires.h"
 #include "json_validator.h"
-#include "plan/certificate.h"
 #include "plan/footprint.h"
 #include "plan/lint.h"
 #include "plan/lint_script.h"
+#include "core/router.h"
 #include "service/claim_map.h"
 #include "service/service.h"
 
@@ -328,221 +326,56 @@ TEST(PlanExtractorMutationTest, CorridorMarginIsLive) {
   EXPECT_LT(withoutMargin, withMargin);
 }
 
-// --- No-conflict certificates ----------------------------------------------------
+// --- Claim map -------------------------------------------------------------------
 
-std::vector<RouteSpec> scatteredBatch() {
-  // Eight requests: pairs 0..5 live in three well-separated bands (but
-  // 0/1, 2/3, 4/5 overlap within their band), 6 is malformed (unsound),
-  // 7 collides with 0.
-  std::vector<RouteSpec> specs;
-  auto p2p = [&specs](int r0, int c0, int r1, int c1) {
-    specs.push_back(RouteSpec{SpecOp::kP2P,
-                              {Pin(r0, c0, S1_YQ)},
-                              {Pin(r1, c1, clbIn(2))}});
-  };
-  p2p(2, 2, 3, 4);
-  p2p(3, 3, 2, 5);    // overlaps 0
-  p2p(2, 14, 3, 16);
-  p2p(3, 15, 2, 17);  // overlaps 2
-  p2p(12, 2, 13, 4);
-  p2p(13, 3, 12, 5);  // overlaps 4
-  specs.push_back(RouteSpec{SpecOp::kP2P, {}, {}});  // unsound
-  p2p(2, 3, 3, 5);    // overlaps 0 and 1
-  return specs;
-}
+TEST(PlanClaimMapTest, ShardedLayoutIsInjectiveAndArbitrates) {
+  for (const char* device : {"XCV300", "XCV1000"}) {
+    SCOPED_TRACE(device);
+    const Graph& g = kitFor(device).graph;
+    jrsvc::ClaimMap claims(g, RegionGrid(g.device()));
 
-TEST(PlanCertificateTest, WavesArePairwiseDisjointAndCoverSoundRequests) {
-  const Kit& kit = kitFor("XCV50");
-  Fabric fabric(kit.graph, kit.table);
-  const FootprintExtractor fx(kit.graph, fabric);
-  const std::vector<RouteSpec> specs = scatteredBatch();
-  const NoConflictCertificate cert = planBatch(fx, specs);
+    // node → slot is injective: with every node claimed by its own
+    // owner, a shared slot would fail the second claim or read back the
+    // wrong owner.
+    const auto ownerFor = [](NodeId n) { return static_cast<uint32_t>(n) + 1; };
+    for (NodeId n = 0; n < g.numNodes(); ++n) {
+      ASSERT_TRUE(claims.claim(n, ownerFor(n))) << "node " << n;
+    }
+    for (NodeId n = 0; n < g.numNodes(); ++n) {
+      ASSERT_EQ(claims.ownerOf(n), ownerFor(n)) << "node " << n;
+    }
 
-  ASSERT_EQ(cert.footprints.size(), specs.size());
-  EXPECT_EQ(cert.uncertified, std::vector<size_t>{6});
-  EXPECT_EQ(cert.certifiedCount(), specs.size() - 1);
-
-  // Within a wave, all member footprints are pairwise disjoint.
-  std::set<size_t> seen;
-  for (const Wave& w : cert.waves) {
-    for (size_t i = 0; i < w.members.size(); ++i) {
-      EXPECT_TRUE(seen.insert(w.members[i]).second);
-      for (size_t j = i + 1; j < w.members.size(); ++j) {
-        EXPECT_FALSE(cert.footprints[w.members[i]].intersects(
-            cert.footprints[w.members[j]]))
-            << "wave members " << w.members[i] << " and " << w.members[j]
-            << " interfere";
-      }
+    // CAS ownership on nodes spread over the whole device.
+    const NodeId step = std::max<NodeId>(1, g.numNodes() / 997);
+    for (NodeId n = 0; n < g.numNodes(); n += step) {
+      const uint32_t holder = ownerFor(n);
+      const uint32_t rival = holder + 1;
+      EXPECT_FALSE(claims.claim(n, rival)) << "second owner took node " << n;
+      EXPECT_TRUE(claims.claim(n, holder)) << "holder re-claim failed at " << n;
+      claims.release(n, rival);  // not the owner: no-op
+      EXPECT_EQ(claims.ownerOf(n), holder) << "non-owner released node " << n;
+      claims.release(n, holder);
+      EXPECT_EQ(claims.ownerOf(n), 0u) << "node " << n;
+      EXPECT_TRUE(claims.claim(n, rival)) << "freed node " << n;
     }
   }
-  EXPECT_EQ(seen.size(), cert.certifiedCount());
-  EXPECT_EQ(seen.count(6), 0u);
-
-  // The three separated bands can share a wave; the overlapping partners
-  // cannot, so at least two waves exist.
-  EXPECT_GE(cert.waves.size(), 2u);
 }
-
-TEST(PlanCertificateTest, ColoringIsDeterministic) {
-  const Kit& kit = kitFor("XCV50");
-  Fabric fabric(kit.graph, kit.table);
-  const FootprintExtractor fx(kit.graph, fabric);
-  const NoConflictCertificate a = planBatch(fx, scatteredBatch());
-  const NoConflictCertificate b = planBatch(fx, scatteredBatch());
-  ASSERT_EQ(a.waves.size(), b.waves.size());
-  for (size_t i = 0; i < a.waves.size(); ++i) {
-    EXPECT_EQ(a.waves[i].members, b.waves[i].members);
-  }
-  EXPECT_EQ(a.uncertified, b.uncertified);
-  EXPECT_EQ(a.json(), b.json());
-}
-
-TEST(PlanCertificateTest, JsonIsValid) {
-  const Kit& kit = kitFor("XCV50");
-  Fabric fabric(kit.graph, kit.table);
-  const FootprintExtractor fx(kit.graph, fabric);
-  const NoConflictCertificate cert = planBatch(fx, scatteredBatch());
-  EXPECT_TRUE(jrtest::validJson(cert.json())) << cert.json();
-}
-
-// --- Certified service path ------------------------------------------------------
-
-TEST(PlanServiceTest, CertifiedBatchSkipsArbitrationCleanly) {
-  const Kit& kit = kitFor("XCV50");
-  Fabric fabric(kit.graph, kit.table);
-  jrsvc::ServiceOptions opts;
-  opts.manualPump = true;
-  opts.planThreads = 1;
-  opts.certify = true;
-  opts.planParanoid = true;  // re-arbitrate every certified wave
-  opts.drcParanoid = true;
-  jrsvc::RoutingService svc(fabric, opts);
-  jrsvc::Session s = svc.openSession();
-
-  std::vector<std::future<jrsvc::RouteResult>> futs;
-  for (int i = 0; i < 6; ++i) {
-    futs.push_back(s.routeAsync(
-        EndPoint(Pin(static_cast<int16_t>(2 + 2 * i), 4, S1_YQ)),
-        EndPoint(Pin(static_cast<int16_t>(3 + 2 * i), 6, clbIn(2)))));
-  }
-  svc.pumpOnce();
-  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
-
-  const jrsvc::ServiceStats st = svc.stats();
-  EXPECT_EQ(st.certifiedPlanned, 6u);
-  EXPECT_GE(st.certifiedWaves, 1u);
-  EXPECT_EQ(st.certifiedFallbacks, 0u);
-  EXPECT_EQ(st.paranoidDisagreements, 0u);
-  // Certified waves plan with arbitration skipped: no claim races exist
-  // to lose.
-  EXPECT_EQ(st.claimRetries, 0u);
-  EXPECT_TRUE(svc.runDrc().clean());
-}
-
-TEST(PlanServiceTest, CertifiedEngineMatchesArbitratedOutcomes) {
-  // The same workload — disjoint routes plus one contested sink — must
-  // resolve identically whether the engine certifies or arbitrates.
-  auto run = [](bool certify) {
-    const Kit& kit = kitFor("XCV50");
-    Fabric fabric(kit.graph, kit.table);
-    jrsvc::ServiceOptions opts;
-    opts.manualPump = true;
-    opts.planThreads = 1;
-    opts.certify = certify;
-    opts.planParanoid = certify;
-    opts.drcParanoid = true;
-    jrsvc::RoutingService svc(fabric, opts);
-    jrsvc::Session s = svc.openSession();
-
-    std::vector<std::future<jrsvc::RouteResult>> futs;
-    for (int i = 0; i < 4; ++i) {
-      futs.push_back(s.routeAsync(
-          EndPoint(Pin(static_cast<int16_t>(2 + 3 * i), 3, S1_YQ)),
-          EndPoint(Pin(static_cast<int16_t>(3 + 3 * i), 5, clbIn(2)))));
-    }
-    // Two rivals for one sink: exactly one may win.
-    futs.push_back(s.routeAsync(EndPoint(Pin(4, 12, S1_YQ)),
-                                EndPoint(Pin(5, 14, clbIn(1)))));
-    futs.push_back(s.routeAsync(EndPoint(Pin(6, 12, S0_YQ)),
-                                EndPoint(Pin(5, 14, clbIn(1)))));
-    svc.pumpOnce();
-
-    std::vector<bool> outcomes;
-    for (auto& f : futs) outcomes.push_back(f.get().ok());
-    EXPECT_EQ(svc.stats().paranoidDisagreements, 0u);
-    EXPECT_TRUE(svc.runDrc().clean());
-    return outcomes;
-  };
-
-  const std::vector<bool> arbitrated = run(false);
-  const std::vector<bool> certified = run(true);
-  EXPECT_EQ(arbitrated, certified);
-  // The four disjoint routes all landed; the contested pair has one winner.
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(certified[static_cast<size_t>(i)]);
-  EXPECT_NE(certified[4], certified[5]);
-}
-
-TEST(PlanServiceConcurrencyTest, CertifiedThreadedRunStaysClean) {
-  // Concurrent clients against the certified engine with the paranoid
-  // cross-check armed — the TSAN/perturb tier-1 passes run this to hunt
-  // races between wave planning and the claim machinery.
-  const Kit& kit = kitFor("XCV300");
-  Fabric fabric(kit.graph, kit.table);
-  jrsvc::ServiceOptions opts;
-  opts.batchSize = 16;
-  opts.certify = true;
-  opts.planParanoid = true;
-  opts.drcParanoid = true;
-  jrsvc::RoutingService svc(fabric, opts);
-
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 6;
-  std::vector<jrsvc::Session> sessions;
-  for (int t = 0; t < kThreads; ++t) sessions.push_back(svc.openSession());
-
-  std::atomic<int> escapes{0};
-  std::atomic<int> accepted{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      try {
-        for (int k = 0; k < kPerThread; ++k) {
-          const jrsvc::RouteResult r = sessions[static_cast<size_t>(t)].route(
-              EndPoint(Pin(static_cast<int16_t>(2 + t * 7),
-                           static_cast<int16_t>(4 + k * 3), S1_YQ)),
-              EndPoint(Pin(static_cast<int16_t>(3 + t * 7),
-                           static_cast<int16_t>(6 + k * 3), clbIn(2))));
-          if (r.ok()) accepted.fetch_add(1);
-        }
-      } catch (...) {
-        escapes.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  svc.stop();
-
-  EXPECT_EQ(escapes.load(), 0);
-  EXPECT_EQ(accepted.load(), kThreads * kPerThread);
-  EXPECT_EQ(static_cast<size_t>(accepted.load()), fabric.liveNetCount());
-  const jrsvc::ServiceStats st = svc.stats();
-  EXPECT_EQ(st.paranoidDisagreements, 0u);
-  EXPECT_GT(st.certifiedPlanned, 0u);
-  EXPECT_TRUE(svc.runDrc().clean());
-  fabric.checkConsistency();
-}
-
-// --- Sharded claim map -----------------------------------------------------------
 
 TEST(PlanClaimMapTest, ShardedLayoutIsAPurePermutationOfFlat) {
-  const Kit& kit = kitFor("XCV50");
-  const Graph& g = kit.graph;
-  jrsvc::ClaimMap flat(g.numNodes());
+  // The region-sharded layout only permutes slots: a deterministic churn
+  // of claims/releases must agree verbatim with a flat node-indexed
+  // reference holding the same CAS semantics.
+  const Graph& g = kitFor("XCV50").graph;
   jrsvc::ClaimMap sharded(g, RegionGrid(g.device()));
-  EXPECT_FALSE(flat.sharded());
-  EXPECT_TRUE(sharded.sharded());
+  std::vector<uint32_t> flat(g.numNodes(), 0);
+  const auto flatClaim = [&flat](NodeId n, uint32_t owner) {
+    if (flat[n] == 0) flat[n] = owner;
+    return flat[n] == owner;
+  };
+  const auto flatRelease = [&flat](NodeId n, uint32_t owner) {
+    if (flat[n] == owner) flat[n] = 0;
+  };
 
-  // A deterministic churn of claims/releases must agree verbatim.
   uint64_t lcg = 0x243F6A8885A308D3ull;
   auto next = [&lcg] {
     lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
@@ -553,49 +386,66 @@ TEST(PlanClaimMapTest, ShardedLayoutIsAPurePermutationOfFlat) {
     const uint32_t owner = static_cast<uint32_t>(next() % 5) + 1;
     switch (next() % 3) {
       case 0:
-        EXPECT_EQ(flat.claim(n, owner), sharded.claim(n, owner));
+        EXPECT_EQ(flatClaim(n, owner), sharded.claim(n, owner));
         break;
       case 1:
-        flat.release(n, owner);
+        flatRelease(n, owner);
         sharded.release(n, owner);
         break;
       default:
-        EXPECT_EQ(flat.ownerOf(n), sharded.ownerOf(n));
+        EXPECT_EQ(flat[n], sharded.ownerOf(n));
         break;
     }
   }
   for (NodeId n = 0; n < g.numNodes(); ++n) {
-    ASSERT_EQ(flat.ownerOf(n), sharded.ownerOf(n)) << "node " << n;
+    ASSERT_EQ(flat[n], sharded.ownerOf(n)) << "node " << n;
   }
 }
 
 TEST(PlanClaimMapTest, ShardedServiceAdmitsTheSamePlans) {
-  // End-to-end regression: a deterministic engine run admits exactly the
-  // same requests with the sharded map as with the flat one.
-  auto run = [](bool shard) {
-    const Kit& kit = kitFor("XCV50");
+  // End-to-end regression: a deterministic engine run over the sharded
+  // claim map admits exactly the requests the plain Router accepts when
+  // it routes them one by one in submission order.
+  std::vector<std::pair<Pin, Pin>> reqs;
+  for (int i = 0; i < 5; ++i) {
+    reqs.emplace_back(Pin(static_cast<int16_t>(2 + 2 * i), 3, S1_YQ),
+                      Pin(static_cast<int16_t>(3 + 2 * i), 6, clbIn(2)));
+  }
+  reqs.emplace_back(Pin(4, 12, S1_YQ), Pin(3, 6, clbIn(2)));  // contested
+
+  const Kit& kit = kitFor("XCV50");
+  std::vector<bool> direct;
+  {
     Fabric fabric(kit.graph, kit.table);
-    jrsvc::ServiceOptions opts;
-    opts.manualPump = true;
-    opts.planThreads = 1;
-    opts.shardClaimMap = shard;
-    opts.drcParanoid = true;
-    jrsvc::RoutingService svc(fabric, opts);
-    jrsvc::Session s = svc.openSession();
-    std::vector<std::future<jrsvc::RouteResult>> futs;
-    for (int i = 0; i < 5; ++i) {
-      futs.push_back(s.routeAsync(
-          EndPoint(Pin(static_cast<int16_t>(2 + 2 * i), 3, S1_YQ)),
-          EndPoint(Pin(static_cast<int16_t>(3 + 2 * i), 6, clbIn(2)))));
+    Router router(fabric);
+    for (const auto& [src, sink] : reqs) {
+      try {
+        router.route(EndPoint(src), EndPoint(sink));
+        direct.push_back(true);
+      } catch (const std::exception&) {
+        direct.push_back(false);
+      }
     }
-    futs.push_back(s.routeAsync(EndPoint(Pin(4, 12, S1_YQ)),
-                                EndPoint(Pin(3, 6, clbIn(2)))));  // contested
-    svc.pumpOnce();
-    std::vector<bool> outcomes;
-    for (auto& f : futs) outcomes.push_back(f.get().ok());
-    return outcomes;
-  };
-  EXPECT_EQ(run(false), run(true));
+  }
+
+  Fabric fabric(kit.graph, kit.table);
+  jrsvc::ServiceOptions opts;
+  opts.manualPump = true;
+  opts.planThreads = 1;
+  opts.drcParanoid = true;
+  jrsvc::RoutingService svc(fabric, opts);
+  jrsvc::Session s = svc.openSession();
+  std::vector<std::future<jrsvc::RouteResult>> futs;
+  for (const auto& [src, sink] : reqs) {
+    futs.push_back(s.routeAsync(EndPoint(src), EndPoint(sink)));
+  }
+  svc.pumpOnce();
+  std::vector<bool> served;
+  for (auto& f : futs) served.push_back(f.get().ok());
+
+  EXPECT_EQ(served, direct);
+  EXPECT_FALSE(served.back()) << "contested sink admitted twice";
+  EXPECT_TRUE(svc.runDrc().clean());
 }
 
 // --- Workload linter -------------------------------------------------------------

@@ -1,9 +1,9 @@
-// Tests for request-lifecycle spans, the SLO burn-rate monitor, the
-// session-stream workload, and the engine's adaptive batch linger:
-// telescoping (segments sum to the end-to-end latency exactly), one
-// span fold per resolved request under concurrency, window arithmetic
-// at the edges of the bucket ring, breach rising-edge semantics with
-// flight-recorder bundles, and byte-identical streams for a fixed seed.
+// Tests for request-lifecycle spans, the SLO burn-rate monitor, and the
+// session-stream workload: telescoping (segments sum to the end-to-end
+// latency exactly), one span fold per resolved request under
+// concurrency, window arithmetic at the edges of the bucket ring,
+// breach rising-edge semantics with flight-recorder bundles, and
+// byte-identical streams for a fixed seed.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -196,29 +196,6 @@ TEST(ObsSpanConcurrencyTest, ExactlyOneSpanFoldPerResolvedRequest) {
   svc.stop();
   EXPECT_EQ(spanAggregator().count(),
             static_cast<uint64_t>(kThreads * kPerThread));
-}
-
-// --- Adaptive batch linger ---------------------------------------------------
-
-TEST(ServiceBatchLingerTest, LingerCoalescesStaggeredSubmitsIntoOneBatch) {
-  Fabric fabric(testGraph(), testTable());
-  jrsvc::ServiceOptions opts;
-  opts.batchLingerUs = 400000;  // generous vs the ~20ms submit spread
-  jrsvc::RoutingService svc(fabric, opts);
-  jrsvc::Session s = svc.openSession();
-
-  std::vector<std::future<jrsvc::RouteResult>> futs;
-  for (int i = 0; i < 6; ++i) {
-    futs.push_back(s.routeAsync(EndPoint(Pin(3 + i * 2, 4, S1_YQ)),
-                                EndPoint(Pin(3 + i * 2, 6, clbIn(2)))));
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
-  // The engine drained the first request immediately, then lingered on
-  // the oldest request's span age — the stragglers joined its batch.
-  EXPECT_EQ(svc.stats().batches, 1u);
-  EXPECT_EQ(svc.stats().accepted, 6u);
-  svc.stop();
 }
 
 // --- SLO config parsing ------------------------------------------------------
